@@ -6,37 +6,16 @@ chain reproducibly, classifies parameter regions as ergodic or
 transient, verifies the Lyapunov drift constructions numerically, and
 drives the Monte Carlo phase-transition experiments with exact binomial
 confidence intervals.
+
+The top level exports the model, the drivers behind each CLI command and
+the result types they return; helpers and test oracles live in their
+modules (dhawkes.model, .cubic, .drift, .simulate, .stats, ...).
 """
 
-from .classify import RegionLabel, Verdict, classify, classify_grid
-from .cubic import (
-    CubicReport,
-    alpha_q,
-    b_star,
-    c_bounds,
-    cubic_report,
-    discriminant,
-    real_roots,
-    spectral_radius,
-)
-from .drift import (
-    DriftCertificate,
-    DriftReport,
-    SmallSetCheck,
-    certify_drift,
-    delta_v_alpha,
-    q_form,
-    q_form_negativity_check,
-    scan_violations,
-    linear_delta_v,
-    linear_drift_scan,
-    linear_weights,
-    v_alpha,
-    verify_small_set,
-)
+from .classify import RegionLabel, Verdict, classify
+from .cubic import CubicReport, cubic_report
+from .drift import DriftCertificate, certify_drift
 from .experiments import (
-    GalleryResult,
-    GridCell,
     SweepRow,
     SweepSpec,
     disc_grid,
@@ -45,76 +24,33 @@ from .experiments import (
     sweep_explosion,
     tau_cdf_experiment,
 )
-from .model import Params, State, intensity, push_state, transition_pmf
-from .simulate import (
-    ExcursionKind,
-    ExcursionOutcome,
-    SimConfig,
-    TrajectoryResult,
-    detect_alternation,
-    replica_rng,
-    run_excursion,
-    run_trajectory,
-    sample_poisson,
-    step,
-)
-from .stats import ConfidenceInterval, beta_quantile, clopper_pearson, ecdf
+from .model import Params
+from .simulate import ExcursionKind, ExcursionOutcome, SimConfig, run_excursion, run_trajectory
+from .stats import clopper_pearson
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Params",
-    "State",
-    "intensity",
-    "transition_pmf",
-    "push_state",
-    "CubicReport",
-    "cubic_report",
-    "discriminant",
-    "c_bounds",
-    "real_roots",
-    "alpha_q",
-    "spectral_radius",
-    "b_star",
-    "Verdict",
-    "RegionLabel",
-    "classify",
-    "classify_grid",
     "SimConfig",
     "ExcursionKind",
     "ExcursionOutcome",
-    "TrajectoryResult",
-    "replica_rng",
-    "sample_poisson",
-    "step",
     "run_excursion",
+    "run_excursions",
     "run_trajectory",
-    "detect_alternation",
-    "DriftReport",
-    "DriftCertificate",
-    "SmallSetCheck",
-    "linear_weights",
-    "linear_delta_v",
-    "linear_drift_scan",
-    "v_alpha",
-    "delta_v_alpha",
-    "q_form",
-    "q_form_negativity_check",
-    "scan_violations",
-    "verify_small_set",
+    "classify",
+    "Verdict",
+    "RegionLabel",
+    "cubic_report",
+    "CubicReport",
     "certify_drift",
-    "ConfidenceInterval",
-    "clopper_pearson",
-    "beta_quantile",
-    "ecdf",
+    "DriftCertificate",
     "SweepSpec",
     "SweepRow",
-    "GalleryResult",
-    "GridCell",
-    "run_excursions",
     "sweep_explosion",
     "tau_cdf_experiment",
     "exploding_gallery",
     "disc_grid",
+    "clopper_pearson",
     "__version__",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .cubic import CubicReport, b_star, boundary_band, cubic_report, discriminant
 from .model import Params
@@ -177,19 +176,3 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     return [start + i * step for i in range(n)]
 
-
-def classify_grid(
-    a_range: tuple[float, float],
-    b_range: tuple[float, float],
-    c_range: tuple[float, float],
-    step: float,
-    lam: float = 1.0,
-) -> Iterator[tuple[float, float, float, RegionLabel]]:
-    """Classify every cell of a row-major (a, b, c) grid, deterministically ordered."""
-    a_vals = grid_values(*a_range, step)
-    b_vals = grid_values(*b_range, step)
-    c_vals = grid_values(*c_range, step)
-    for a in a_vals:
-        for b in b_vals:
-            for c in c_vals:
-                yield a, b, c, classify(Params.p3(a, b, c, lam))

@@ -15,12 +15,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .classify import classify, grid_values
 from .cubic import alpha_q, cubic_report
-from .drift import certify_drift, scan_violations, verify_small_set, small_set_applicable
+from .drift import DriftReport, certify_drift, drift
 from .experiments import (
-    GalleryResult,
     SweepSpec,
     disc_grid,
     exploding_gallery,
@@ -43,6 +43,10 @@ EXIT_IO = 3
 EXIT_ANOMALY = 4
 
 _SIM_DEFAULTS = {"horizon": 10_000, "threshold": 10**9, "seed": 0}
+_SWEEP_DEFAULTS = {
+    "fix": None, "sweep": None, "replicas": 100_000, "alpha": 0.01, "lam": 1.0,
+    "jobs": None, "out": None, **_SIM_DEFAULTS,
+}
 
 DEFAULTS: dict[str, dict] = {
     "classify": {"p": None, "a": None, "b": None, "c": None, "coeffs": None, "lam": 1.0},
@@ -50,14 +54,8 @@ DEFAULTS: dict[str, dict] = {
         "p": None, "a": None, "b": None, "c": None, "coeffs": None, "lam": 1.0,
         "length": 100, "replica": 0, "out": None, **_SIM_DEFAULTS,
     },
-    "sweep": {
-        "fix": None, "sweep": None, "replicas": 100_000, "alpha": 0.01, "lam": 1.0,
-        "jobs": None, "out": None, **_SIM_DEFAULTS,
-    },
-    "ecdf": {
-        "fix": None, "sweep": None, "replicas": 100_000, "alpha": 0.01, "lam": 1.0,
-        "jobs": None, "out": None, **_SIM_DEFAULTS,
-    },
+    "sweep": _SWEEP_DEFAULTS,
+    "ecdf": _SWEEP_DEFAULTS,
     "gallery": {
         "a": None, "b": None, "c": None, "lam": 1.0, "want": 5, "prefix": 30,
         "cap": 10_000_000, "out": None, **_SIM_DEFAULTS,
@@ -119,13 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--echo-config", help="write the resolved configuration to this path")
 
-    def add_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-p", type=int, dest="p", help="memory length")
+    def add_abc(p: argparse.ArgumentParser) -> None:
         p.add_argument("-a", type=float, help="lag-1 coefficient")
         p.add_argument("-b", type=float, help="lag-2 coefficient")
         p.add_argument("-c", type=float, help="lag-3 coefficient")
-        p.add_argument("--coeffs", type=_parse_floats, help="comma-separated a_1..a_p")
         p.add_argument("--lam", type=float, help="baseline intensity (default 1)")
+
+    def add_params(p: argparse.ArgumentParser) -> None:
+        p.add_argument("-p", type=int, dest="p", help="memory length")
+        p.add_argument("--coeffs", type=_parse_floats, help="comma-separated a_1..a_p")
+        add_abc(p)
 
     def add_sim(p: argparse.ArgumentParser) -> None:
         p.add_argument("--horizon", type=int, help="censoring horizon (default 10000)")
@@ -163,10 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p)
 
     p = sub.add_parser("gallery", help="collect exploding excursion prefixes")
-    p.add_argument("-a", type=float)
-    p.add_argument("-b", type=float)
-    p.add_argument("-c", type=float)
-    p.add_argument("--lam", type=float)
+    add_abc(p)
     p.add_argument("--want", type=int, help="number of exploding excursions (default 5)")
     p.add_argument("--prefix", type=int, help="prefix length to record (default 30)")
     p.add_argument("--cap", type=int, help="replica cap (default 1e7)")
@@ -175,10 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("drift", help="verify the drift construction numerically")
-    p.add_argument("-a", type=float)
-    p.add_argument("-b", type=float)
-    p.add_argument("-c", type=float)
-    p.add_argument("--lam", type=float)
+    add_abc(p)
     p.add_argument("--radius", type=int, help="scan box radius (default 200)")
     p.add_argument("--max-radius", type=int, dest="max_radius", help="doubling cap (default 1600)")
     p.add_argument("--epsilon", type=float, help="fixed epsilon instead of the grid search")
@@ -213,6 +208,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, val in loaded.items():
+            if val is None and merged[key] is not None:
+                raise ValueError(f"config key {key!r} must not be null")
             if key == "sweep" and isinstance(val, list):
                 val = (val[0], [float(v) for v in val[1]])
             merged[key] = val
@@ -231,7 +228,7 @@ def _echo(args: argparse.Namespace, merged: dict) -> None:
 
 
 def _params_from(merged: dict) -> Params:
-    lam = merged.get("lam") or 1.0
+    lam = merged["lam"]
     if merged.get("coeffs"):
         coeffs = [float(v) for v in merged["coeffs"]]
         p = merged.get("p") or len(coeffs)
@@ -242,6 +239,13 @@ def _params_from(merged: dict) -> Params:
     if len(provided) != p or p == 0:
         raise ValueError(f"need {p or 'some'} coefficients; got {provided}")
     return Params(p=p, coeffs=tuple(provided), lam=lam)
+
+
+def _params3_from(merged: dict) -> Params:
+    """Params of a command that needs the p = 3 model: -a, -b and -c all given."""
+    if None in (merged["a"], merged["b"], merged["c"]):
+        raise ValueError("-a, -b and -c are all required")
+    return _params_from(merged)
 
 
 def _sim_config(merged: dict) -> SimConfig:
@@ -301,7 +305,7 @@ def _sweep_spec(merged: dict) -> SweepSpec:
         fixed={k: float(v) for k, v in merged["fix"].items()},
         sweep_name=name,
         values=tuple(values),
-        lam=merged.get("lam") or 1.0,
+        lam=merged["lam"],
         replicas=merged["replicas"],
         sim=_sim_config(merged),
         alpha=merged["alpha"],
@@ -355,7 +359,7 @@ def cmd_ecdf(args: argparse.Namespace) -> int:
 def cmd_gallery(args: argparse.Namespace) -> int:
     merged = _resolve(args)
     _echo(args, merged)
-    params = Params.p3(merged["a"], merged["b"], merged["c"], merged.get("lam") or 1.0)
+    params = _params3_from(merged)
     cfg = _sim_config(merged)
     result = exploding_gallery(
         params, cfg, want=merged["want"], prefix_len=merged["prefix"], replica_cap=merged["cap"]
@@ -363,7 +367,7 @@ def cmd_gallery(args: argparse.Namespace) -> int:
     base = merged["out"] or "gallery"
     csv_path, json_path = _out_paths(base)
     write_gallery_csv(result, csv_path)
-    write_json(_gallery_json(result), json_path)
+    write_json(asdict(result), json_path)
     status = "partial" if result.partial else "complete"
     print(
         f"gallery: {len(result.entries)}/{merged['want']} exploding excursions "
@@ -372,29 +376,11 @@ def cmd_gallery(args: argparse.Namespace) -> int:
     return EXIT_ANOMALY if result.partial else EXIT_OK
 
 
-def _gallery_json(result: GalleryResult) -> dict:
-    return {
-        "partial": result.partial,
-        "replicas_scanned": result.replicas_scanned,
-        "entries": [
-            {
-                "replica": e.replica,
-                "alternation_onset": e.alternation_onset,
-                "prefix": list(e.prefix),
-            }
-            for e in result.entries
-        ],
-    }
-
-
 def cmd_drift(args: argparse.Namespace) -> int:
     merged = _resolve(args)
     _echo(args, merged)
-    a, b, c = merged["a"], merged["b"], merged["c"]
-    lam = merged.get("lam") or 1.0
-    if a is None or b is None or c is None:
-        raise ValueError("drift requires -a, -b and -c")
-    params = Params.p3(a, b, c, lam)
+    params = _params3_from(merged)
+    a, b, c = params.abc
     report = cubic_report(a, b, c)
     print(f"disc={_fmt(report.disc)}")
 
@@ -404,25 +390,19 @@ def cmd_drift(args: argparse.Namespace) -> int:
             print("drift construction needs Disc < 0 and c < 0", file=sys.stderr)
             return EXIT_USAGE
         alpha = alpha_q(a, b, c)
-        eps_list = [merged["epsilon"]] if merged["epsilon"] else [2.0**-k for k in range(1, 21)]
-        for eps in eps_list:
-            rep = scan_violations(params, alpha, eps, merged["radius"])
-            if rep.shell_clean:
-                small = (
-                    verify_small_set(params, merged["radius"]).verified
-                    if small_set_applicable(params)
-                    else False
-                )
-                print(
-                    f"exploratory scan: alpha={_fmt(alpha)} epsilon={_fmt(eps)} "
-                    f"violations={rep.violations_total} shell_clean=True "
-                    f"small_set_verified={small}"
-                )
-                if merged["out"]:
-                    write_json(_drift_json(rep, alpha, small), merged["out"])
-                return EXIT_OK
-        print("no epsilon produced a clean boundary shell", file=sys.stderr)
-        return EXIT_ANOMALY
+        eps = merged["epsilon"]
+        rep = drift(params, alpha, merged["radius"], None if eps is None else (eps,))
+        if rep is None:
+            print("no epsilon produced a clean boundary shell", file=sys.stderr)
+            return EXIT_ANOMALY
+        print(
+            f"exploratory scan: alpha={_fmt(alpha)} epsilon={_fmt(rep.epsilon)} "
+            f"violations={rep.violations_total} shell_clean=True "
+            f"small_set_verified={rep.small_set_verified}"
+        )
+        if merged["out"]:
+            write_json(_drift_json(rep, alpha), merged["out"])
+        return EXIT_OK
 
     cert = certify_drift(params, box_radius=merged["radius"], max_radius=merged["max_radius"])
     print(f"alpha_q={_fmt(cert.alpha)}")
@@ -440,11 +420,11 @@ def cmd_drift(args: argparse.Namespace) -> int:
         f"bound={_fmt(cert.small_set.bound)})"
     )
     if merged["out"]:
-        write_json(_drift_json(cert.report, cert.alpha, cert.small_set.verified), merged["out"])
+        write_json(_drift_json(cert.report, cert.alpha), merged["out"])
     return EXIT_OK if cert.complete else EXIT_ANOMALY
 
 
-def _drift_json(report, alpha: float, small_verified: bool) -> dict:
+def _drift_json(report: DriftReport, alpha: float) -> dict:
     return {
         "alpha": alpha,
         "epsilon": report.epsilon,
@@ -453,7 +433,7 @@ def _drift_json(report, alpha: float, small_verified: bool) -> dict:
         "violations": [list(v) for v in report.violation_set[:1000]],
         "k_bound": report.k_bound,
         "shell_clean": report.shell_clean,
-        "small_set_verified": small_verified,
+        "small_set_verified": report.small_set_verified,
     }
 
 
@@ -468,7 +448,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         tuple(merged["b_range"]),
         tuple(merged["c_range"]),
         merged["step"],
-        merged.get("lam") or 1.0,
+        merged["lam"],
     )
     base = merged["out"] or "grid"
     csv_path, json_path = _out_paths(base)

@@ -407,6 +407,27 @@ class DriftCertificate:
         )
 
 
+def drift(
+    params3: Params,
+    alpha: float,
+    box_radius: int,
+    epsilons: tuple[float, ...] | None = None,
+) -> DriftReport | None:
+    """First scan of V_alpha over [0, box_radius]^3 with a clean boundary shell.
+
+    Epsilons are tried in order; the default is the geometric grid
+    2^-1, ..., 2^-20, so the largest clean value wins.  None when no
+    epsilon gives a violation-free shell at this radius.
+    """
+    if epsilons is None:
+        epsilons = tuple(2.0**-k for k in range(1, 21))
+    for eps in epsilons:
+        rep = scan_violations(params3, alpha, eps, box_radius)
+        if rep.shell_clean:
+            return rep
+    return None
+
+
 def certify_drift(
     params3: Params,
     box_radius: int = 200,
@@ -415,9 +436,8 @@ def certify_drift(
 ) -> DriftCertificate:
     """Assemble the full numerical certificate for b < 0, c < 0, Disc < 0.
 
-    Epsilon is taken from the geometric grid 2^-1, ..., 2^-20, keeping
-    the largest value whose scan shows a violation-free boundary shell;
-    when no epsilon is clean the box is doubled, up to max_radius.
+    Epsilon comes from the clean-shell search of `drift`; when no epsilon
+    is clean the box is doubled, up to max_radius.
     """
     a, b, c = params3.abc
     if boundary_band(a, b, c):
@@ -426,22 +446,18 @@ def certify_drift(
         raise ValueError("certification requires b < 0, c < 0 and Disc < 0")
     alpha = alpha_q(a, b, c)
     radius = box_radius
-    while True:
-        for k in range(1, 21):
-            eps = 2.0**-k
-            rep = scan_violations(params3, alpha, eps, radius)
-            if rep.shell_clean:
-                return DriftCertificate(
-                    cubic=cubic_report(a, b, c),
-                    alpha=alpha,
-                    epsilon=eps,
-                    report=rep,
-                    small_set=verify_small_set(params3, radius),
-                    q_max_on_octant=q_form_negativity_check(params3, alpha, q_grid_density),
-                    det_identity_residual=det_m_alpha_identity_check(a, b, c, alpha),
-                )
+    while (rep := drift(params3, alpha, radius)) is None:
         if radius >= max_radius:
             raise RuntimeError(
                 f"no epsilon in the grid yields a clean shell up to radius {max_radius}"
             )
         radius = min(2 * radius, max_radius)
+    return DriftCertificate(
+        cubic=cubic_report(a, b, c),
+        alpha=alpha,
+        epsilon=rep.epsilon,
+        report=rep,
+        small_set=verify_small_set(params3, radius),
+        q_max_on_octant=q_form_negativity_check(params3, alpha, q_grid_density),
+        det_identity_residual=det_m_alpha_identity_check(a, b, c, alpha),
+    )

@@ -4,8 +4,8 @@ All drivers are deterministic given the sweep's master seed: every sweep
 point gets a derived seed (splitmix64 of the master seed and the point
 index) and every replica inside a point draws from its own stream, so
 results do not depend on worker count, chunking or execution order.
-Replica batches can be spread over a process pool; reductions are
-order-insensitive counts and merges keyed by replica index.
+Replica batches can be spread over a process pool; the pool returns
+them in submission order, which is replica order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .classify import classify, grid_values
-from .cubic import discriminant, spectral_radius
 from .model import Params
 from .simulate import (
     ExcursionKind,
@@ -92,13 +91,13 @@ class SweepRow:
     mean_tau_returned: float | None
 
 
-def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> tuple[int, list[tuple[str, int, int]]]:
+def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> list[tuple[str, int, int]]:
     params, cfg, start, stop = payload
     out = []
     for r in range(start, stop):
         o = run_excursion(params, cfg, r)
         out.append((o.kind.value, o.steps, o.peak))
-    return start, out
+    return out
 
 
 def run_excursions(
@@ -117,17 +116,13 @@ def run_excursions(
         (params, cfg, start, min(start + chunk, n_replicas))
         for start in range(0, n_replicas, chunk)
     ]
-    results: dict[int, list[tuple[str, int, int]]] = {}
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for start, rows in pool.map(_batch_task, payloads):
-            results[start] = rows
-    out: list[ExcursionOutcome] = []
-    for start in sorted(results):
-        out.extend(
-            ExcursionOutcome(ExcursionKind(kind), steps, peak)
-            for kind, steps, peak in results[start]
-        )
-    return out
+        batches = list(pool.map(_batch_task, payloads))
+    return [
+        ExcursionOutcome(ExcursionKind(kind), steps, peak)
+        for rows in batches
+        for kind, steps, peak in rows
+    ]
 
 
 def _point_config(spec: SweepSpec, point_index: int) -> SimConfig:
@@ -240,13 +235,17 @@ def disc_grid(
     step: float,
     lam: float = 1.0,
 ) -> list[GridCell]:
-    """Sign of the discriminant, linear stability and fired rule per grid cell."""
+    """Sign of the discriminant, linear stability and fired rule per grid cell.
+
+    Cells are row-major over (a, b, c), c varying fastest; disc and
+    linear stability come from the cubic witness that classify returns.
+    """
     cells = []
     for a in a_values:
         for b in grid_values(*b_range, step):
             for c in grid_values(*c_range, step):
-                d = discriminant(a, b, c)
                 label = classify(Params.p3(a, b, c, lam))
+                d = label.witness.disc
                 cells.append(
                     GridCell(
                         a=a,
@@ -254,7 +253,7 @@ def disc_grid(
                         c=c,
                         disc=d,
                         disc_sign=(d > 0) - (d < 0),
-                        linear_stable=spectral_radius(a, b, c) < 1.0,
+                        linear_stable=label.witness.spectral_radius < 1.0,
                         verdict=label.verdict.value,
                         rule=label.rule,
                     )

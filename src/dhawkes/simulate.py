@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from numpy.random import Generator, Philox
 
-from .model import Params, State, check_state
+from .model import Params, State, check_state, intensity, push_state
 
 _MASK64 = (1 << 64) - 1
 _MAX_THRESHOLD = (1 << 63) - 1
@@ -90,12 +90,7 @@ def sample_poisson(mean: float, rng: Generator) -> int:
 
 def step(params: Params, state: State, rng: Generator) -> State:
     """One transition: draw the next count at the current intensity and shift."""
-    check_state(state, params.p)
-    s = params.lam
-    for a_i, x_i in zip(params.coeffs, state):
-        s += a_i * x_i
-    draw = sample_poisson(s, rng) if s > 0.0 else 0
-    return (draw,) + tuple(state[:-1])
+    return push_state(state, sample_poisson(intensity(params, state), rng))
 
 
 def _initial(params: Params, cfg: SimConfig) -> State:
@@ -124,7 +119,8 @@ def run_excursion(params: Params, cfg: SimConfig, replica_index: int) -> Excursi
         i, j, k = _initial(params, cfg)
         pois = rng.poisson
         for n in range(1, horizon + 1):
-            s = a * i + b * j + c * k + lam
+            # model.intensity's summation order, so run_trajectory replays this exactly
+            s = lam + a * i + b * j + c * k
             d = int(pois(s)) if s > 0.0 else 0
             if d > m:
                 return ExcursionOutcome(ExcursionKind.EXPLODED, horizon + 1, max(peak, d))
@@ -159,25 +155,19 @@ def run_trajectory(
 ) -> TrajectoryResult:
     """First `length` post-initial states; stops early if a count crosses the threshold.
 
-    Uses the same per-step draw rule and stream as run_excursion, so the
+    Iterates `step` on replica r's stream; run_excursion's loops sum the
+    intensity in the same order and draw only where it is positive, so the
     trajectory of replica r replays excursion r exactly.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     rng = replica_rng(cfg.master_seed, replica_index)
     state = _initial(params, cfg)
-    coeffs = params.coeffs
-    lam = params.lam
     states: list[State] = []
-    pois = rng.poisson
     for _ in range(length):
-        s = lam
-        for a_i, x_i in zip(coeffs, state):
-            s += a_i * x_i
-        d = int(pois(s)) if s > 0.0 else 0
-        state = (d,) + state[:-1]
+        state = step(params, state, rng)
         states.append(state)
-        if d > cfg.explosion_threshold_m:
+        if state[0] > cfg.explosion_threshold_m:
             return TrajectoryResult(states, True)
     return TrajectoryResult(states, False)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dhawkes.classify import Verdict, classify, classify_grid, grid_values
+from dhawkes.classify import Verdict, classify, grid_values
 from dhawkes.cubic import b_star, c_bounds, discriminant
 from dhawkes.model import Params
 
@@ -151,18 +151,3 @@ def test_grid_values_errors():
     with pytest.raises(ValueError):
         grid_values(0.0, 1.0, 0.0)
 
-
-def test_classify_grid_count_and_order():
-    rows = list(classify_grid((0.5, 0.5), (-3.0, 2.0), (-3.0, 2.0), 0.5))
-    assert len(rows) == 121
-    # row-major: c varies fastest
-    assert rows[0][:3] == (0.5, -3.0, -3.0)
-    assert rows[1][2] == pytest.approx(-2.5)
-    a, b, c, label = rows[0]
-    assert label.verdict is classify(Params.p3(a, b, c)).verdict
-
-
-def test_classify_grid_single_point_matches_pointwise():
-    rows = list(classify_grid((3.0, 3.0), (-1.0, -1.0), (-3.0, -3.0), 1.0))
-    assert len(rows) == 1
-    assert rows[0][3].verdict is Verdict.ERGODIC_DISC_NEGATIVE

@@ -1,8 +1,11 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from dhawkes.cli import main
+from dhawkes.cli import build_parser, main
 
 
 def run(argv, capsys):
@@ -35,6 +38,21 @@ def test_classify_malformed_number_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "-p", "3", "-a", "oops", "-b", "1", "-c", "1"])
     assert exc.value.code == 2
+
+
+def test_classify_rejects_nonpositive_lam(capsys):
+    # lam = 0 used to run with lam = 1 while the echo said 0
+    code, _, err = run(["classify", "-a", "0.1", "-b", "0.1", "-c", "0.1", "--lam", "0"], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_config_null_lam_rejected(tmp_path, capsys):
+    cfg = tmp_path / "null.json"
+    cfg.write_text(json.dumps({"command": "classify", "lam": None}))
+    code, _, err = run(["classify", "--config", str(cfg), "-a", "0.1", "-b", "0.1", "-c", "0.1"], capsys)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_simulate_writes_trajectory(tmp_path, capsys):
@@ -149,6 +167,12 @@ def test_gallery_complete(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_gallery_missing_coefficient_exits_2(capsys):
+    code, _, err = run(["gallery", "-b", "1", "-c", "-15"], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_drift_certificate(capsys):
     code, out, _ = run(["drift", "-a", "2.5", "-b", "-1", "-c", "-3", "--radius", "50"], capsys)
     assert code == 0
@@ -163,6 +187,13 @@ def test_drift_exploratory_scan(capsys):
     assert code == 0
     assert "exploratory" in out
     assert "small_set_verified=False" in out
+
+
+def test_drift_zero_epsilon_exits_2(capsys):
+    # a fixed epsilon of 0 used to fall through to the full epsilon grid
+    code, _, err = run(["drift", "-a", "2.5", "-b", "-1", "-c", "-3", "--epsilon", "0"], capsys)
+    assert code == 2
+    assert "error:" in err
 
 
 def test_drift_inapplicable_exits_2(capsys):
@@ -182,3 +213,18 @@ def test_grid_command(tmp_path, capsys):
     assert len(lines) == 10  # header + 3*3 cells
     data = json.loads((tmp_path / "grid.json").read_text())
     assert len(data["cells"]) == 9
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Quick start \(CLI\)\n\n```\n(.*?)```", readme, re.S)
+    assert block, "README has no Quick start (CLI) block"
+    lines = [ln for ln in block.group(1).splitlines() if ln.startswith("dhawkes ")]
+    commands = {shlex.split(ln)[1] for ln in lines}
+    assert commands == {"classify", "simulate", "sweep", "ecdf", "gallery", "drift", "grid"}
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")

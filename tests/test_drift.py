@@ -7,6 +7,7 @@ from dhawkes.cubic import alpha_q, k_of_alpha, r_of_alpha
 from dhawkes.drift import (
     certify_drift,
     delta_v_alpha,
+    drift,
     q_form,
     q_form_negativity_check,
     scan_violations,
@@ -223,6 +224,26 @@ def test_scan_violations_dirty_shell_flagged():
     aq = alpha_q(2.5, -1.0, -3.0)
     report = scan_violations(params, aq, 0.5, 40)
     assert not report.shell_clean
+
+
+def test_drift_takes_largest_clean_epsilon_of_the_grid():
+    params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
+    aq = alpha_q(2.5, -1.0, -3.0)
+    report = drift(params, aq, 60)
+    assert report == scan_violations(params, aq, report.epsilon, 60)
+    assert report.shell_clean
+    k = round(-math.log2(report.epsilon))
+    assert report.epsilon == 2.0**-k
+    for larger in range(1, k):
+        assert not scan_violations(params, aq, 2.0**-larger, 60).shell_clean
+
+
+def test_drift_none_without_clean_shell():
+    params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
+    aq = alpha_q(2.5, -1.0, -3.0)
+    assert drift(params, aq, 40, (0.5,)) is None
+    with pytest.raises(ValueError):
+        drift(params, aq, 40, (0.0,))
 
 
 def test_verify_small_set_reference_point():

@@ -14,6 +14,8 @@ from dhawkes.experiments import (
     write_json,
     write_sweep_csv,
 )
+from dhawkes.classify import classify
+from dhawkes.cubic import discriminant, spectral_radius
 from dhawkes.model import Params
 from dhawkes.simulate import ExcursionKind, SimConfig
 
@@ -141,6 +143,19 @@ def test_gallery_prefix_len_one():
     result = exploding_gallery(params, cfg, want=1, prefix_len=1, replica_cap=100_000)
     assert len(result.entries[0].prefix) == 1
     assert result.entries[0].alternation_onset is None  # too short to detect
+
+
+def test_disc_grid_count_and_order():
+    cells = disc_grid([0.5], (-3.0, 2.0), (-3.0, 2.0), 0.5)
+    assert len(cells) == 121
+    # row-major: c varies fastest
+    assert (cells[0].a, cells[0].b, cells[0].c) == (0.5, -3.0, -3.0)
+    assert cells[1].c == pytest.approx(-2.5)
+    for cell in cells:
+        label = classify(Params.p3(cell.a, cell.b, cell.c))
+        assert (cell.verdict, cell.rule) == (label.verdict.value, label.rule)
+        assert cell.disc == discriminant(cell.a, cell.b, cell.c)
+        assert cell.linear_stable == (spectral_radius(cell.a, cell.b, cell.c) < 1.0)
 
 
 def test_disc_grid_single_cell_matches_pointwise():

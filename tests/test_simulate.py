@@ -139,6 +139,41 @@ def test_run_trajectory_replays_excursion():
             assert traj.states[o.steps - 1] == (0, 0, 0)
 
 
+def _replayed_outcome(params, cfg, replica):
+    """Kind, steps and peak of an excursion, read off the trajectory's counts."""
+    traj = run_trajectory(params, cfg, cfg.horizon_n, replica)
+    zero = (0,) * params.p
+    peak = 0
+    for n, state in enumerate(traj.states, start=1):
+        peak = max(peak, state[0])
+        if state[0] > cfg.explosion_threshold_m:
+            return ExcursionKind.EXPLODED, cfg.horizon_n + 1, peak
+        if state == zero:
+            return ExcursionKind.RETURNED, n, peak
+    return ExcursionKind.CENSORED, cfg.horizon_n, peak
+
+
+@pytest.mark.parametrize(
+    "params, cfg",
+    [
+        # p = 3 unrolled branch at the gallery point
+        (Params.p3(3.0, 1.1, -15.0, lam=1.0),
+         SimConfig(horizon_n=40, explosion_threshold_m=100, master_seed=31)),
+        # generic-p branch
+        (Params(p=5, coeffs=(0.3, 0.2, 0.2, 0.2, 0.09), lam=1.0),
+         SimConfig(horizon_n=100, explosion_threshold_m=40, master_seed=31)),
+    ],
+    ids=["p3", "p5"],
+)
+def test_run_trajectory_replays_excursion_outcomes(params, cfg):
+    kinds = set()
+    for r in range(400):
+        o = run_excursion(params, cfg, r)
+        assert (o.kind, o.steps, o.peak) == _replayed_outcome(params, cfg, r), r
+        kinds.add(o.kind)
+    assert kinds == set(ExcursionKind)  # every fate is exercised
+
+
 def test_run_trajectory_length_one():
     params = Params.p3(0.5, 0.1, 0.1, lam=1.0)
     cfg = SimConfig(master_seed=3)
