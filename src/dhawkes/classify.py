@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .cubic import CubicReport, b_star, boundary_band, cubic_report, discriminant
+from .cubic import CubicReport, b_star, cubic_report
 from .model import Params
 
 # Strict inequalities only: values within TOL of a rule threshold fall
@@ -63,39 +63,22 @@ def _gt(x: float, y: float) -> bool:
     return x > y + TOL
 
 
-def _proven_matches(params: Params) -> dict[Verdict, bool]:
-    """Raw predicates of every proven rule, ignoring priority."""
-    coeffs = params.coeffs
-    matches = {
-        Verdict.ERGODIC_GENERAL_P: _lt(params.positive_sum, 1.0),
-        Verdict.TRANSIENT_LINEAR: all(x >= 0.0 for x in coeffs) and _gt(sum(coeffs), 1.0),
-    }
-    if params.p == 3:
-        a, b, c = coeffs
-        disc_neg = cubic_discriminant_negative(a, b, c)
-        matches[Verdict.ERGODIC_DISC_NEGATIVE] = _lt(b, 0.0) and _lt(c, 0.0) and disc_neg
-        growth = growth_rule(params)
-        matches[Verdict.TRANSIENT_AXES] = growth is Verdict.TRANSIENT_AXES
-        matches[Verdict.TRANSIENT_OSCILLATING] = growth is Verdict.TRANSIENT_OSCILLATING
-        if abs(c) <= TOL:
-            bs = b_star(a)
-            matches[Verdict.ERGODIC_P2_REGION] = _lt(b, bs)
-            matches[Verdict.TRANSIENT_P2_REGION] = _gt(b, bs)
-    return matches
-
-
 def growth_rule(params: Params) -> Verdict | None:
-    """TRANSIENT_OSCILLATING or TRANSIENT_AXES where its predicate holds, else None.
+    """The transience rule that forces geometric growth, or None.
 
-    These are the p = 3 transience rules that force geometric growth
-    along a cycle of states.  They exclude each other (b > 1 against
-    b < 0) and no rule of higher priority matches alongside them, so
-    where this returns a verdict `classify` returns the same one.  It
-    computes no discriminant, so it cannot overflow.
+    TRANSIENT_LINEAR (any p: all coefficients >= 0 and sum > 1) grows the
+    minimum of the window; TRANSIENT_OSCILLATING and TRANSIENT_AXES (p = 3)
+    grow along a cycle of states.  The three exclude each other and no
+    rule of higher priority matches alongside them, so where this returns
+    a verdict `classify` returns the same one.  It computes no
+    discriminant, so it cannot overflow.
     """
+    coeffs = params.coeffs
+    if all(x >= 0.0 for x in coeffs) and _gt(sum(coeffs), 1.0):
+        return Verdict.TRANSIENT_LINEAR
     if params.p != 3:
         return None
-    a, b, c = params.abc
+    a, b, c = coeffs
     if _gt(b, 1.0) and _lt(a * b + c, 0.0):
         return Verdict.TRANSIENT_OSCILLATING
     if _lt(a, 0.0) and _lt(b, 0.0) and _gt(c, 1.0):
@@ -103,84 +86,76 @@ def growth_rule(params: Params) -> Verdict | None:
     return None
 
 
-def cubic_discriminant_negative(a: float, b: float, c: float) -> bool:
-    """Disc < 0 and safely outside the boundary band."""
-    return discriminant(a, b, c) < 0.0 and not boundary_band(a, b, c)
+def _c_disc_negative(rep: CubicReport) -> bool:
+    """c < 0, and Disc < 0 safely outside the boundary band."""
+    return _lt(rep.c, 0.0) and rep.disc < 0.0 and not rep.on_boundary
+
+
+def _cubic(pred):
+    """A rule predicate on the p = 3 cubic report; it never matches at other p."""
+    return lambda params, rep, growth: rep is not None and pred(rep)
+
+
+def _grows(verdict: Verdict):
+    """A rule predicate that matches where growth_rule returns `verdict`."""
+    return lambda params, rep, growth: growth is verdict
+
+
+# (verdict, predicate, rule text), strongest first; the first rule that
+# matches gives the verdict.  A predicate reads the parameters, the p = 3
+# cubic report (None at other p) and growth_rule's verdict.  Rule texts
+# may quote the sum of positive parts {pos} and the coefficient sum {total}.
+_RULES = (
+    (Verdict.ERGODIC_GENERAL_P, lambda params, rep, growth: _lt(params.positive_sum, 1.0),
+     "ergodic: sum of positive parts {pos:.6g} < 1"),
+    (Verdict.TRANSIENT_LINEAR, _grows(Verdict.TRANSIENT_LINEAR),
+     "transient: all coefficients >= 0 and sum {total:.6g} > 1"),
+    (Verdict.UNKNOWN, lambda params, rep, growth: rep is None,
+     "no rule applies (cubic rules need p=3)"),
+    (Verdict.BOUNDARY, _cubic(lambda r: r.on_boundary and _lt(r.c, 0.0) and not _gt(r.b, 1.0)),
+     "Disc within the zero-surface band; discriminant-based rules withheld"),
+    (Verdict.ERGODIC_DISC_NEGATIVE, _cubic(lambda r: _lt(r.b, 0.0) and _c_disc_negative(r)),
+     "ergodic: b < 0, c < 0 and Disc < 0"),
+    (Verdict.TRANSIENT_AXES, _grows(Verdict.TRANSIENT_AXES),
+     "transient: a < 0, b < 0, c > 1 (axis cycling)"),
+    (Verdict.TRANSIENT_OSCILLATING, _grows(Verdict.TRANSIENT_OSCILLATING),
+     "transient: b > 1 and ab + c < 0 (period-2 growth)"),
+    (Verdict.ERGODIC_P2_REGION, _cubic(lambda r: abs(r.c) <= TOL and _lt(r.b, b_star(r.a))),
+     "memory-2 reduction (c = 0): b < b*(a)"),
+    (Verdict.TRANSIENT_P2_REGION, _cubic(lambda r: abs(r.c) <= TOL and _gt(r.b, b_star(r.a))),
+     "memory-2 reduction (c = 0): b > b*(a)"),
+    (Verdict.CONJECTURED_ERGODIC, _cubic(lambda r: abs(r.b - 1.0) <= TOL and _c_disc_negative(r)),
+     "conjectured ergodic: b <= 1, c < 0 and Disc < 0 (boundary_b=1)"),
+    (Verdict.CONJECTURED_ERGODIC, _cubic(lambda r: not _gt(r.b, 1.0) and _c_disc_negative(r)),
+     "conjectured ergodic: b <= 1, c < 0 and Disc < 0"),
+    (Verdict.UNKNOWN, lambda params, rep, growth: True, "no rule applies"),
+)
 
 
 def classify(params: Params) -> RegionLabel:
     """Return the strongest applicable verdict and the rule that fired.
 
-    Priority: the general positive-part criterion and the nonnegative
-    supercritical criterion apply for any p; for p = 3 the cubic results
-    follow, then the c = 0 reduction to the memory-2 frontier, then the
-    conjectured region, then Unknown.
+    Priority (the order of _RULES): the general positive-part criterion
+    and the nonnegative supercritical criterion apply for any p; for
+    p = 3 the cubic results follow, then the c = 0 reduction to the
+    memory-2 frontier, then the conjectured region, then Unknown.  The
+    p = 3 cubic report is built once and returned as the witness.
     """
     if not all(math.isfinite(x) for x in params.coeffs) or not math.isfinite(params.lam):
         raise ValueError("classify requires finite parameters")
 
-    matches = _proven_matches(params)
-    fired_ergodic = [v for v in ERGODIC_VERDICTS if matches.get(v)]
-    fired_transient = [v for v in TRANSIENT_VERDICTS if matches.get(v)]
+    rep = cubic_report(*params.abc) if params.p == 3 else None
+    growth = growth_rule(params)
+    matches = [(verdict, text) for verdict, pred, text in _RULES if pred(params, rep, growth)]
+    fired_ergodic = [v for v, _ in matches if v in ERGODIC_VERDICTS]
+    fired_transient = [v for v, _ in matches if v in TRANSIENT_VERDICTS]
     if fired_ergodic and fired_transient:
         raise RuntimeError(
             f"rule conflict: ergodic {fired_ergodic} and transient {fired_transient} "
             f"both match {params}; a rule predicate is wrong"
         )
-
-    if matches[Verdict.ERGODIC_GENERAL_P]:
-        witness = cubic_report(*params.abc) if params.p == 3 else None
-        return RegionLabel(
-            Verdict.ERGODIC_GENERAL_P,
-            f"ergodic: sum of positive parts {params.positive_sum:.6g} < 1",
-            witness,
-        )
-    if matches[Verdict.TRANSIENT_LINEAR]:
-        witness = cubic_report(*params.abc) if params.p == 3 else None
-        return RegionLabel(
-            Verdict.TRANSIENT_LINEAR,
-            f"transient: all coefficients >= 0 and sum {sum(params.coeffs):.6g} > 1",
-            witness,
-        )
-    if params.p != 3:
-        return RegionLabel(Verdict.UNKNOWN, "no rule applies (cubic rules need p=3)")
-
-    a, b, c = params.abc
-    report = cubic_report(a, b, c)
-    if boundary_band(a, b, c) and _lt(c, 0.0) and not _gt(b, 1.0):
-        return RegionLabel(
-            Verdict.BOUNDARY,
-            "Disc within the zero-surface band; discriminant-based rules withheld",
-            report,
-        )
-    if matches.get(Verdict.ERGODIC_DISC_NEGATIVE):
-        return RegionLabel(
-            Verdict.ERGODIC_DISC_NEGATIVE, "ergodic: b < 0, c < 0 and Disc < 0", report
-        )
-    if matches.get(Verdict.TRANSIENT_AXES):
-        return RegionLabel(
-            Verdict.TRANSIENT_AXES, "transient: a < 0, b < 0, c > 1 (axis cycling)", report
-        )
-    if matches.get(Verdict.TRANSIENT_OSCILLATING):
-        return RegionLabel(
-            Verdict.TRANSIENT_OSCILLATING,
-            "transient: b > 1 and ab + c < 0 (period-2 growth)",
-            report,
-        )
-    if matches.get(Verdict.ERGODIC_P2_REGION):
-        return RegionLabel(
-            Verdict.ERGODIC_P2_REGION, "memory-2 reduction (c = 0): b < b*(a)", report
-        )
-    if matches.get(Verdict.TRANSIENT_P2_REGION):
-        return RegionLabel(
-            Verdict.TRANSIENT_P2_REGION, "memory-2 reduction (c = 0): b > b*(a)", report
-        )
-    if not _gt(b, 1.0) and _lt(c, 0.0) and cubic_discriminant_negative(a, b, c):
-        rule = "conjectured ergodic: b <= 1, c < 0 and Disc < 0"
-        if abs(b - 1.0) <= TOL:
-            rule += " (boundary_b=1)"
-        return RegionLabel(Verdict.CONJECTURED_ERGODIC, rule, report)
-    return RegionLabel(Verdict.UNKNOWN, "no rule applies", report)
+    verdict, text = matches[0]
+    return RegionLabel(verdict, text.format(pos=params.positive_sum, total=sum(params.coeffs)), rep)
 
 
 def grid_values(start: float, stop: float, step: float) -> list[float]:

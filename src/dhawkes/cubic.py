@@ -37,10 +37,20 @@ def discriminant(a: float, b: float, c: float) -> float:
     return a * a * b * b + 4.0 * b**3 - 4.0 * a**3 * c - 18.0 * a * b * c - 27.0 * c * c
 
 
+def _disc_and_band(a: float, b: float, c: float) -> tuple[float, bool]:
+    """Disc and whether it lies in the boundary band; ValueError where they overflow."""
+    try:
+        disc, scale = discriminant(a, b, c), max(1.0, a**4 + b**3 + c**2)
+    except OverflowError:
+        disc = scale = math.inf
+    if not (math.isfinite(disc) and math.isfinite(scale)):
+        raise ValueError(f"Disc or its band scale overflows at (a, b, c) = ({a}, {b}, {c})")
+    return disc, abs(disc) <= BOUNDARY_BAND * scale
+
+
 def boundary_band(a: float, b: float, c: float) -> bool:
     """True when |Disc| is too close to 0 to sign reliably in doubles."""
-    scale = max(1.0, a**4 + b**3 + c**2)
-    return abs(discriminant(a, b, c)) <= BOUNDARY_BAND * scale
+    return _disc_and_band(a, b, c)[1]
 
 
 def c_bounds(a: float, b: float) -> tuple[float, float] | None:
@@ -88,14 +98,20 @@ def _multiple_root_candidates(a: float, b: float, c: float) -> np.ndarray | None
     return np.array([double, double, simple], dtype=complex)
 
 
-def _all_roots(a: float, b: float, c: float) -> np.ndarray:
-    """All three complex roots of P, companion-matrix eigenvalues + polish."""
-    if boundary_band(a, b, c):
-        candidates = _multiple_root_candidates(a, b, c)
-        if candidates is not None:
-            return candidates
-    roots = np.roots([1.0, -a, -b, -c])
-    return np.array([_newton_polish(a, b, c, z, steps=3) for z in roots])
+def _roots(a: float, b: float, c: float, disc: float, on_band: bool) -> tuple[list[float], float]:
+    """`real_roots` and `spectral_radius` of P from one solve for its three complex roots."""
+    roots = _multiple_root_candidates(a, b, c) if on_band else None
+    if roots is None:
+        roots = np.array([_newton_polish(a, b, c, z, steps=3) for z in np.roots([1.0, -a, -b, -c])])
+    radius = float(max(abs(z) for z in roots))
+    if on_band:
+        return sorted(float(z.real) for z in roots), radius
+    if disc < 0.0:
+        z = min(roots, key=lambda r: abs(r.imag))
+        z = _newton_polish(a, b, c, complex(z.real, 0.0), steps=5)
+        return [float(z.real)], radius
+    out = [_newton_polish(a, b, c, complex(z.real, 0.0), steps=5).real for z in roots]
+    return sorted(float(x) for x in out), radius
 
 
 def real_roots(a: float, b: float, c: float) -> list[float]:
@@ -106,20 +122,12 @@ def real_roots(a: float, b: float, c: float) -> list[float]:
     matrix seed a short Newton polish, which avoids the branch-cut
     trouble of the closed formulas near Disc = 0.
     """
-    roots = _all_roots(a, b, c)
-    if boundary_band(a, b, c):
-        return sorted(float(z.real) for z in roots)
-    if discriminant(a, b, c) < 0.0:
-        z = min(roots, key=lambda r: abs(r.imag))
-        z = _newton_polish(a, b, c, complex(z.real, 0.0), steps=5)
-        return [float(z.real)]
-    out = [_newton_polish(a, b, c, complex(z.real, 0.0), steps=5).real for z in roots]
-    return sorted(float(x) for x in out)
+    return _roots(a, b, c, *_disc_and_band(a, b, c))[0]
 
 
 def spectral_radius(a: float, b: float, c: float) -> float:
     """max |z| over the complex roots of P; < 1 iff the linear recurrence is stable."""
-    return float(max(abs(z) for z in _all_roots(a, b, c)))
+    return _roots(a, b, c, *_disc_and_band(a, b, c))[1]
 
 
 def alpha_q(a: float, b: float, c: float) -> float:
@@ -129,10 +137,16 @@ def alpha_q(a: float, b: float, c: float) -> float:
     Q(0) < 0 and the root is positive).  Bracketing bisection on
     [0, 1+|a|+|b|+|c|] followed by Newton polish; deterministic.
     """
-    if not discriminant(a, b, c) < 0.0:
-        raise ValueError(f"alpha_q requires Disc < 0, got Disc={discriminant(a, b, c)}")
+    disc = discriminant(a, b, c)
+    if not disc < 0.0:
+        raise ValueError(f"alpha_q requires Disc < 0, got Disc={disc}")
     if not c < 0.0:
         raise ValueError(f"alpha_q requires c < 0, got c={c}")
+    return _alpha_q(a, b, c)
+
+
+def _alpha_q(a: float, b: float, c: float) -> float:
+    """alpha_q without its precondition checks."""
     lo, hi = 0.0, 1.0 + abs(a) + abs(b) + abs(c)
     # Q(lo) = c < 0 and hi exceeds the Cauchy root bound, so Q(hi) > 0.
     while hi - lo > 1e-12 * max(1.0, hi):
@@ -205,6 +219,7 @@ class CubicReport:
     b: float
     c: float
     disc: float
+    on_boundary: bool
     real_roots: tuple[float, ...]
     spectral_radius: float
     c_minus: float | None
@@ -213,22 +228,22 @@ class CubicReport:
     r_at_alpha_q: float | None
     k_at_alpha_q: float | None
 
-    @property
-    def on_boundary(self) -> bool:
-        return boundary_band(self.a, self.b, self.c)
-
 
 def cubic_report(a: float, b: float, c: float) -> CubicReport:
-    """Assemble a CubicReport; alpha_q fields only when Disc < 0 and c < 0."""
+    """Assemble a CubicReport, solving for Disc, band and roots once.
+
+    alpha_q fields only when Disc < 0 and c < 0; ValueError where Disc overflows.
+    """
     for name, v in (("a", a), ("b", b), ("c", c)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
-    disc = discriminant(a, b, c)
+    disc, on_band = _disc_and_band(a, b, c)
+    roots, radius = _roots(a, b, c, disc, on_band)
     bounds = c_bounds(a, b)
     cm, cp = bounds if bounds is not None else (None, None)
     aq = rq = kq = None
-    if disc < 0.0 and c < 0.0 and not boundary_band(a, b, c):
-        aq = alpha_q(a, b, c)
+    if disc < 0.0 and c < 0.0 and not on_band:
+        aq = _alpha_q(a, b, c)
         rq = r_of_alpha(a, b, aq)
         kq = k_of_alpha(a, b, c, aq)
     return CubicReport(
@@ -236,8 +251,9 @@ def cubic_report(a: float, b: float, c: float) -> CubicReport:
         b=b,
         c=c,
         disc=disc,
-        real_roots=tuple(real_roots(a, b, c)),
-        spectral_radius=spectral_radius(a, b, c),
+        on_boundary=on_band,
+        real_roots=tuple(roots),
+        spectral_radius=radius,
         c_minus=cm,
         c_plus=cp,
         alpha_q=aq,

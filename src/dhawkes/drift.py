@@ -24,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import (
-    CubicReport,
-    alpha_q,
-    boundary_band,
-    cubic_report,
-    det_m_alpha_identity_check,
-    discriminant,
-)
+from .cubic import CubicReport, cubic_report, det_m_alpha_identity_check, discriminant
 from .model import Params, State, check_state, intensity
 
 MAX_RECORDED_VIOLATIONS = 100_000
@@ -440,11 +433,12 @@ def certify_drift(
     is clean the box is doubled, up to max_radius.
     """
     a, b, c = params3.abc
-    if boundary_band(a, b, c):
+    cubic = cubic_report(a, b, c)
+    if cubic.on_boundary:
         raise ValueError("parameters sit on the Disc = 0 boundary band; not certifiable")
-    if not (b < 0.0 and c < 0.0 and discriminant(a, b, c) < 0.0):
+    if not (b < 0.0 and c < 0.0 and cubic.disc < 0.0):
         raise ValueError("certification requires b < 0, c < 0 and Disc < 0")
-    alpha = alpha_q(a, b, c)
+    alpha = cubic.alpha_q
     radius = box_radius
     while (rep := drift(params3, alpha, radius)) is None:
         if radius >= max_radius:
@@ -453,7 +447,7 @@ def certify_drift(
             )
         radius = min(2 * radius, max_radius)
     return DriftCertificate(
-        cubic=cubic_report(a, b, c),
+        cubic=cubic,
         alpha=alpha,
         epsilon=rep.epsilon,
         report=rep,

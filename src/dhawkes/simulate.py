@@ -13,9 +13,10 @@ or below it runs the plain Poisson loops; once a fresh count exceeds it,
 the excursion keeps drawing until it returns (it is then RETURNED, with
 its true length and peak), or escape is certified (EXPLODED), or the
 horizon is reached.  Escape is certified by a count above an overflow
-guard (1e300), or for p = 3 by entering the growth cone of the
-classifier's transience rules, from which the chain leaves the growth
-pattern with probability at most 1e-18.  Following the usual convention
+guard (1e300), or by entering the growth cone of one of the classifier's
+growth rules (nonnegative coefficients summing above 1, any p; the
+oscillating and axes rules, p = 3), from which the chain leaves the
+growth pattern with probability at most 1e-18.  Following the usual convention
 the recorded length of an exploded excursion is horizon + 1, a sentinel
 one past the censoring value.
 
@@ -42,7 +43,7 @@ _MAX_THRESHOLD = (1 << 63) - 1
 NORMAL_SWITCH = 1e18
 # a count above this certifies escape for any p
 OVERFLOW_GUARD = 1e300
-# bound on the probability of ever leaving a p = 3 growth cone
+# bound on the probability of ever leaving a growth cone
 _LEAVE_PROB = 1e-18
 
 
@@ -126,57 +127,63 @@ def step(params: Params, state: State, rng: Generator) -> State:
 
 
 @functools.lru_cache(maxsize=256)
-def _cone(params: Params) -> tuple[int, float] | None:
-    """(lag, M) of the p = 3 growth cone, or None where no cone rule applies.
+def _cone(params: Params) -> tuple[Verdict, float] | None:
+    """(rule, M) of the growth cone, or None where no growth rule applies.
 
+    TRANSIENT_LINEAR (all a_i >= 0, sum S > 1): each draw Y has mean
+    mu >= S m + lam, m the window's minimum; Y >= rho m keeps the minimum
+    from falling, and p such draws in a row raise it by the factor rho.
     TRANSIENT_OSCILLATING (b > 1, ab + c < 0): from (0, X, 0) the draw
     Y ~ Poisson(bX + lam) forces a zero (aY + cX + lam <= 0), giving
     (0, Y, 0).  TRANSIENT_AXES (a < 0, b < 0, c > 1): from (0, 0, X) the
     draw Y ~ Poisson(cX + lam) forces two zeros, giving (0, 0, Y).  With
-    g = b or c, the cycle repeats whenever |Y - mu| <= eta mu, mu = gX + lam:
+    g = S, b or c, the pattern holds whenever |Y - mu| <= eta mu:
     eta <= (g - 1) / (2g) makes Y >= rho X with rho = (1 + g) / 2, and for
     X >= x0 the forced zeros hold (for the oscillating rule this also
     needs eta <= |ab + c| / (2 |a| b), which gives
     aY + cX + lam <= (ab + c) X / 2 + lam (1 + |a| (1 + eta))).
     Bernstein's bound for the Poisson gives P(|Y - mu| > eta mu) <=
     2 exp(-C mu), C = eta^2 / (2 (1 + eta / 3)); the normal draws above
-    NORMAL_SWITCH have lighter tails.  As X grows at least like rho^k M,
-    the chance of ever leaving the pattern from X >= M is at most
-    2 e^(-CgM) / (1 - e^(-CgM (rho - 1))).  M is the least power of two
-    >= x0 that brings this to _LEAVE_PROB.
+    NORMAL_SWITCH have lighter tails.  As X grows at least like rho^k M
+    over k rounds of n draws (n = p for the linear rule, 1 for the
+    cycles), the chance of ever leaving the pattern from X >= M is at
+    most 2 n e^(-CgM) / (1 - e^(-CgM (rho - 1))).  M is the least power of
+    two >= x0 that brings this to _LEAVE_PROB.
     """
     rule = growth_rule(params)
     if rule is None:
         return None
-    a, b, c = params.abc
     lam = params.lam
+    draws, x0 = 1, 0.0
+    if rule is Verdict.TRANSIENT_LINEAR:
+        draws, g = params.p, sum(params.coeffs)
+    else:
+        a, b, c = params.abc
+        g = b if rule is Verdict.TRANSIENT_OSCILLATING else c
+    eta = (g - 1.0) / (2.0 * g)
     if rule is Verdict.TRANSIENT_OSCILLATING:
-        lag, g = 1, b
-        eta = (g - 1.0) / (2.0 * g)
         if a != 0.0:
             eta = min(eta, -(a * b + c) / (2.0 * abs(a) * b))
         x0 = 2.0 * lam * (1.0 + abs(a) * (1.0 + eta)) / -(a * b + c)
-    else:
-        lag, g = 2, c
-        eta = (g - 1.0) / (2.0 * g)
+    elif rule is Verdict.TRANSIENT_AXES:
         x0 = lam / min(-a, -b)
     rate = g * eta * eta / (2.0 * (1.0 + eta / 3.0))  # C g
     growth = (g - 1.0) / 2.0  # rho - 1
     level = 1.0
-    while level < x0 or 2.0 * math.exp(-rate * level) > -_LEAVE_PROB * math.expm1(
+    while level < x0 or 2.0 * draws * math.exp(-rate * level) > -_LEAVE_PROB * math.expm1(
         -rate * level * growth
     ):
         level *= 2.0
         if level > OVERFLOW_GUARD:
             return None
-    return lag, level
+    return rule, level
 
 
 def escape_level(params: Params) -> float | None:
-    """Cone level M above which a p = 3 growth-cone state certifies escape.
+    """Cone level M above which a growth-cone state certifies escape.
 
-    None where neither the oscillating nor the axes transience rule of
-    `classify` applies; escape is then certified by the overflow guard only.
+    None where none of the linear, oscillating and axes transience rules
+    of `classify` applies; escape is then certified by the overflow guard only.
     """
     cone = _cone(params)
     return None if cone is None else cone[1]
@@ -185,16 +192,20 @@ def escape_level(params: Params) -> float | None:
 def escaped(params: Params, state: State) -> bool:
     """Whether escape from `state` is certified.
 
-    True for a count above OVERFLOW_GUARD, and for p = 3 for the cone
-    states (0, X, 0) under the oscillating rule and (0, 0, X) under the
-    axes rule with X >= escape_level(params).
+    True for a count above OVERFLOW_GUARD; under the linear rule (any p)
+    for a window whose minimum is >= escape_level(params); and for p = 3
+    for the cone states (0, X, 0) under the oscillating rule and
+    (0, 0, X) under the axes rule with X >= escape_level(params).
     """
     if max(state) > OVERFLOW_GUARD:
         return True
     cone = _cone(params)
     if cone is None:
         return False
-    lag, level = cone
+    rule, level = cone
+    if rule is Verdict.TRANSIENT_LINEAR:
+        return min(state) >= level
+    lag = 1 if rule is Verdict.TRANSIENT_OSCILLATING else 2
     return state[lag] >= level and sum(state) == state[lag]
 
 

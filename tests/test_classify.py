@@ -134,14 +134,15 @@ def test_no_rule_conflicts_on_random_sweep():
 def test_growth_rule_agrees_with_classify():
     # the simulator reads its growth cones off growth_rule
     rng = np.random.default_rng(35)
-    cone_rules = {Verdict.TRANSIENT_AXES, Verdict.TRANSIENT_OSCILLATING}
+    cone_rules = {Verdict.TRANSIENT_AXES, Verdict.TRANSIENT_OSCILLATING, Verdict.TRANSIENT_LINEAR}
     for _ in range(2000):
         params = Params.p3(*rng.uniform(-6, 6, size=3))
         verdict = classify(params).verdict
         assert growth_rule(params) == (verdict if verdict in cone_rules else None), params
     assert growth_rule(Params.p3(-1.0, -1.0, 1.1)) is Verdict.TRANSIENT_AXES
     assert growth_rule(Params.p3(-1.0, 1.1, 0.5)) is Verdict.TRANSIENT_OSCILLATING
-    assert growth_rule(Params(p=2, coeffs=(0.4, 2.0), lam=1.0)) is None
+    assert growth_rule(Params(p=2, coeffs=(0.4, 2.0), lam=1.0)) is Verdict.TRANSIENT_LINEAR
+    assert growth_rule(Params(p=2, coeffs=(-0.4, 2.0), lam=1.0)) is None
 
 
 def test_witness_report_attached_for_p3():
@@ -164,3 +165,37 @@ def test_grid_values_errors():
     with pytest.raises(ValueError):
         grid_values(0.0, 1.0, 0.0)
 
+
+# one point per verdict with its exact rule text
+RULE_CASES = [
+    (3, (0.5, 0.3, 0.1), Verdict.ERGODIC_GENERAL_P, "ergodic: sum of positive parts 0.9 < 1"),
+    (4, (0.5, 0.3, 0.3, 0.2), Verdict.TRANSIENT_LINEAR,
+     "transient: all coefficients >= 0 and sum 1.3 > 1"),
+    (2, (1.5, -4.0), Verdict.UNKNOWN, "no rule applies (cubic rules need p=3)"),
+    (3, (2.0, -0.5, c_bounds(2.0, -0.5)[0]), Verdict.BOUNDARY,
+     "Disc within the zero-surface band; discriminant-based rules withheld"),
+    (3, (2.5, -1.0, -3.0), Verdict.ERGODIC_DISC_NEGATIVE, "ergodic: b < 0, c < 0 and Disc < 0"),
+    (3, (-1.0, -1.0, 1.1), Verdict.TRANSIENT_AXES, "transient: a < 0, b < 0, c > 1 (axis cycling)"),
+    (3, (-1.0, 1.1, 0.5), Verdict.TRANSIENT_OSCILLATING,
+     "transient: b > 1 and ab + c < 0 (period-2 growth)"),
+    (3, (3.0, -3.0, 0.0), Verdict.ERGODIC_P2_REGION, "memory-2 reduction (c = 0): b < b*(a)"),
+    (3, (3.0, -2.0, 0.0), Verdict.TRANSIENT_P2_REGION, "memory-2 reduction (c = 0): b > b*(a)"),
+    (3, (3.0, 0.5, -15.0), Verdict.CONJECTURED_ERGODIC,
+     "conjectured ergodic: b <= 1, c < 0 and Disc < 0"),
+    (3, (3.0, 1.0, -15.0), Verdict.CONJECTURED_ERGODIC,
+     "conjectured ergodic: b <= 1, c < 0 and Disc < 0 (boundary_b=1)"),
+    (3, (-2.0, 0.5, 0.5), Verdict.UNKNOWN, "no rule applies"),
+]
+
+
+@pytest.mark.parametrize("p, coeffs, verdict, rule", RULE_CASES)
+def test_rule_texts(p, coeffs, verdict, rule):
+    # grid CSV/JSON carry these texts verbatim
+    label = classify(Params(p=p, coeffs=coeffs, lam=1.0))
+    assert (label.verdict, label.rule) == (verdict, rule)
+    assert (label.witness is None) == (p != 3)
+
+
+def test_rule_texts_cover_every_verdict():
+    covered = {v for _, _, v, _ in RULE_CASES}
+    assert covered == set(Verdict)

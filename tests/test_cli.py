@@ -227,6 +227,21 @@ def test_drift_inapplicable_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "-p", "3", "-a", "1e300", "-b", "0", "-c", "0"],
+        ["drift", "-a", "1e120", "-b", "-1", "-c", "-1"],
+    ],
+    ids=["classify", "drift"],
+)
+def test_cubic_overflow_exits_2(argv, capsys):
+    # Disc overflows at these coefficients: a usage error, not a traceback
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_grid_command(tmp_path, capsys):
     code, out, _ = run(
         ["grid", "--a-values", "0.5", "--b-range=-1:0", "--c-range=-1:0",

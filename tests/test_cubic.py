@@ -204,3 +204,30 @@ def test_cubic_report_fields():
     rep2 = cubic_report(0.0, 3.0, 0.5)  # Disc > 0
     assert rep2.alpha_q is None
     assert len(rep2.real_roots) == 3
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [(0.0, 0.0, 0.0), (0.0, 3.0, -2.0), (5.0, -7.0, 3.0)]  # triple root 0; double roots 1, 1
+    + [tuple(x) for x in np.random.default_rng(16).uniform(-5, 5, size=(40, 3))],
+)
+def test_cubic_report_matches_public_functions(a, b, c):
+    rep = cubic_report(a, b, c)
+    assert rep.on_boundary == boundary_band(a, b, c)
+    assert rep.real_roots == tuple(real_roots(a, b, c))
+    assert rep.spectral_radius == spectral_radius(a, b, c)
+    assert rep.disc == discriminant(a, b, c)
+
+
+def test_band_points_are_on_boundary():
+    assert cubic_report(0.0, 0.0, 0.0).on_boundary
+    rep = cubic_report(0.0, 3.0, -2.0)  # P = (X - 1)^2 (X + 2)
+    assert rep.on_boundary
+    assert rep.real_roots == pytest.approx((-2.0, 1.0, 1.0), abs=1e-12)
+    assert not cubic_report(2.5, -1.0, -3.0).on_boundary
+
+
+@pytest.mark.parametrize("a, b, c", [(1e300, 0.0, 0.0), (1e120, -1.0, -1.0), (1.0, 1e200, 1.0)])
+def test_cubic_report_overflow_raises_value_error(a, b, c):
+    with pytest.raises(ValueError, match="overflows"):
+        cubic_report(a, b, c)

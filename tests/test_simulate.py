@@ -226,7 +226,7 @@ def test_escape_cone_at_axes_point_and_guard():
     assert level is not None
     assert escaped(params, (0, 0, math.ceil(level)))
     assert not escaped(params, (0, math.ceil(level), 0))
-    # no cone off the two rules; the overflow guard applies for every p
+    # no cone off the growth rules; the overflow guard applies for every p
     ergodic = Params.p3(2.5, -1.0, -3.0, lam=1.0)
     assert escape_level(ergodic) is None
     assert not escaped(ergodic, (0, 10**200, 0))
@@ -234,6 +234,36 @@ def test_escape_cone_at_axes_point_and_guard():
     p5 = Params(p=5, coeffs=(0.3, 0.2, 0.2, 0.2, 0.09), lam=1.0)
     assert escape_level(p5) is None
     assert escaped(p5, (0, 0, 10**301, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [Params.p3(0.2, 0.6, 0.6, lam=1.0), Params(p=5, coeffs=(0.4, 0.2, 0.0, 0.3, 0.3), lam=1.0)],
+    ids=["p3", "p5"],
+)
+def test_escape_cone_at_linear_point(params):
+    # nonnegative coefficients, sum S > 1: once the window's minimum is >= M,
+    # it grows at least x(1 + S)/2 every p steps
+    p, rho = params.p, (1.0 + sum(params.coeffs)) / 2.0
+    level = escape_level(params)
+    assert level is not None and level <= 1e9
+    x = math.ceil(level)
+    assert escaped(params, (x,) * p)
+    assert escaped(params, (10**40,) + (x,) * (p - 1))
+    assert not escaped(params, (x,) * (p - 1) + (x - 1,))
+    rng = replica_rng(5, 0)
+    state = (x,) * p
+    for _ in range(10):
+        floor = min(state)
+        for _ in range(p):
+            state = step(params, state, rng)
+            assert escaped(params, state)
+        assert min(state) >= rho * floor
+    # exploded excursions are certified soon after the crossing, not at the 1e300 guard
+    cfg = SimConfig(horizon_n=1000, master_seed=11)
+    outcomes = [run_excursion(params, cfg, r) for r in range(100)]
+    exploded = [o for o in outcomes if o.kind is ExcursionKind.EXPLODED]
+    assert exploded and max(o.peak for o in exploded) < 1e12
 
 
 def test_crossing_burst_returns_with_its_peak():
