@@ -12,27 +12,24 @@ Exit codes: 0 success, 2 usage or parse error, 3 output I/O error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from collections.abc import Iterable, Sequence
+from dataclasses import asdict, fields
 
 from .classify import classify, grid_values
-from .cubic import alpha_q, cubic_report
-from .drift import DriftReport, certify_drift, drift
+from .cubic import cubic_report
+from .drift import DriftReport, certify_drift, drift, small_set_applicable, verify_small_set
 from .experiments import (
+    GridCell,
+    SweepRow,
     SweepSpec,
     disc_grid,
     exploding_gallery,
     sweep_explosion,
-    sweep_rows_json,
     tau_cdf_experiment,
-    write_ecdf_csv,
-    write_gallery_csv,
-    write_grid_csv,
-    write_json,
-    write_sweep_csv,
-    write_trajectory_csv,
 )
 from .model import Params
 from .simulate import SimConfig, run_trajectory
@@ -224,11 +221,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _echo(args: argparse.Namespace, merged: dict) -> None:
-    if args.echo_config:
-        write_json({"command": args.command, **merged}, args.echo_config)
-
-
 def _params_from(merged: dict) -> Params:
     lam = merged["lam"]
     if merged.get("coeffs"):
@@ -262,9 +254,88 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    merged = _resolve(args)
-    _echo(args, merged)
+# ---------------------------------------------------------------------------
+# Output files: CSV tables and their JSON mirrors
+# ---------------------------------------------------------------------------
+
+
+def _csv_field(v: object) -> object:
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    if isinstance(v, bool):
+        return int(v)
+    return "" if v is None else v
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows: floats to 17 significant digits, bools as 0/1, None empty."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_csv_field(v) for v in row] for row in rows)
+
+
+def write_json(obj: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+_SWEEP_COLUMNS = (
+    "swept_value", "exploded", "N", "proportion", "ci_lower", "ci_upper", "mean_tau_returned",
+)
+_GRID_COLUMNS = tuple(f.name for f in fields(GridCell))
+
+
+def _sweep_record(r: SweepRow) -> tuple:
+    return (
+        r.value, r.exploded, r.replicas, r.proportion,
+        r.interval.lower, r.interval.upper, r.mean_tau_returned,
+    )
+
+
+def _grid_record(g: GridCell) -> tuple:
+    return tuple(getattr(g, name) for name in _GRID_COLUMNS)
+
+
+def _mirror(columns: tuple[str, ...], records: list[tuple]) -> list[dict]:
+    """JSON rows of a CSV table: one object per record, keyed by column."""
+    return [dict(zip(columns, rec)) for rec in records]
+
+
+def _sweep_json(spec: SweepSpec, records: list[tuple]) -> dict:
+    return {
+        "fixed": spec.fixed,
+        "sweep": spec.sweep_name,
+        "lam": spec.lam,
+        "replicas": spec.replicas,
+        "alpha": spec.alpha,
+        "horizon": spec.sim.horizon_n,
+        "explosion_threshold": spec.sim.explosion_threshold_m,
+        "master_seed": spec.sim.master_seed,
+        "rows": _mirror(_SWEEP_COLUMNS, records),
+    }
+
+
+def _drift_json(report: DriftReport, alpha: float, small_set_verified: bool) -> dict:
+    return {
+        "alpha": alpha,
+        "epsilon": report.epsilon,
+        "box_radius": report.box_radius,
+        "violations_total": report.violations_total,
+        "violations": [list(v) for v in report.violation_set[:1000]],
+        "k_bound": report.k_bound,
+        "shell_clean": report.shell_clean,
+        "small_set_verified": small_set_verified,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Commands: each takes the resolved configuration
+# ---------------------------------------------------------------------------
+
+
+def cmd_classify(merged: dict) -> int:
     params = _params_from(merged)
     label = classify(params)
     print(f"verdict={label.verdict.value}")
@@ -281,14 +352,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    merged = _resolve(args)
-    _echo(args, merged)
+def cmd_simulate(merged: dict) -> int:
     params = _params_from(merged)
     cfg = _sim_config(merged)
     traj = run_trajectory(params, cfg, merged["length"], merged["replica"])
     if merged["out"]:
-        write_trajectory_csv(traj.states, merged["out"])
+        steps = enumerate((s[0] for s in traj.states), start=1)
+        write_csv(merged["out"], ("step", "count"), steps)
         dest = merged["out"]
     else:
         for n, s in enumerate(traj.states, start=1):
@@ -315,22 +385,15 @@ def _sweep_spec(merged: dict) -> SweepSpec:
     )
 
 
-def _out_paths(base: str) -> tuple[str, str]:
-    if base.endswith(".csv"):
-        return base, base[:-4] + ".json"
-    return base + ".csv", base + ".json"
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    merged = _resolve(args)
-    _echo(args, merged)
+def cmd_sweep(merged: dict) -> int:
     spec = _sweep_spec(merged)
     rows = sweep_explosion(spec)
     if merged["out"]:
-        csv_path, json_path = _out_paths(merged["out"])
-        write_sweep_csv(rows, csv_path)
-        write_json(sweep_rows_json(spec, rows), json_path)
-        print(f"sweep: {len(rows)} points x {spec.replicas} replicas -> {csv_path}")
+        base = merged["out"].removesuffix(".csv")
+        records = [_sweep_record(r) for r in rows]
+        write_csv(base + ".csv", _SWEEP_COLUMNS, records)
+        write_json(_sweep_json(spec, records), base + ".json")
+        print(f"sweep: {len(rows)} points x {spec.replicas} replicas -> {base}.csv")
     else:
         for r in rows:
             print(
@@ -340,47 +403,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_ecdf(args: argparse.Namespace) -> int:
-    merged = _resolve(args)
-    _echo(args, merged)
+def cmd_ecdf(merged: dict) -> int:
     spec = _sweep_spec(merged)
     curves = tau_cdf_experiment(spec)
-    base = merged["out"] or "ecdf"
-    if base.endswith(".csv"):
-        base = base[:-4]
-    mirror = {"spec": sweep_rows_json(spec, []), "curves": {}}
+    base = (merged["out"] or "ecdf").removesuffix(".csv")
     for value, points in curves.items():
-        path = f"{base}_{spec.sweep_name}{value:g}.csv"
-        write_ecdf_csv(points, path)
-        mirror["curves"][f"{value:.17g}"] = [[t, f] for t, f in points]
+        write_csv(f"{base}_{spec.sweep_name}{value:g}.csv", ("tau", "cumulative_fraction"), points)
+    mirror = {
+        "spec": _sweep_json(spec, []),
+        "curves": {f"{v:.17g}": [list(pt) for pt in pts] for v, pts in curves.items()},
+    }
     write_json(mirror, base + ".json")
     print(f"ecdf: {len(curves)} curves -> {base}_*.csv")
     return EXIT_OK
 
 
-def cmd_gallery(args: argparse.Namespace) -> int:
-    merged = _resolve(args)
-    _echo(args, merged)
+def cmd_gallery(merged: dict) -> int:
     params = _params3_from(merged)
     cfg = _sim_config(merged)
     result = exploding_gallery(
         params, cfg, want=merged["want"], prefix_len=merged["prefix"], replica_cap=merged["cap"]
     )
-    base = merged["out"] or "gallery"
-    csv_path, json_path = _out_paths(base)
-    write_gallery_csv(result, csv_path)
-    write_json(asdict(result), json_path)
+    base = (merged["out"] or "gallery").removesuffix(".csv")
+    width = max((len(e.prefix) for e in result.entries), default=0)
+    write_csv(
+        base + ".csv",
+        ["replica", "alternation_onset"] + [f"x{t}" for t in range(width)],
+        ([e.replica, e.alternation_onset, *e.prefix] for e in result.entries),
+    )
+    write_json(asdict(result), base + ".json")
     status = "partial" if result.partial else "complete"
     print(
         f"gallery: {len(result.entries)}/{merged['want']} exploding excursions "
-        f"({status}, {result.replicas_scanned} replicas scanned) -> {csv_path}"
+        f"({status}, {result.replicas_scanned} replicas scanned) -> {base}.csv"
     )
     return EXIT_ANOMALY if result.partial else EXIT_OK
 
 
-def cmd_drift(args: argparse.Namespace) -> int:
-    merged = _resolve(args)
-    _echo(args, merged)
+def cmd_drift(merged: dict) -> int:
     params = _params3_from(merged)
     a, b, c = params.abc
     report = cubic_report(a, b, c)
@@ -388,22 +448,26 @@ def cmd_drift(args: argparse.Namespace) -> int:
 
     if merged["epsilon"] is not None or not (b < 0 and c < 0 and report.disc < 0):
         # manual/exploratory scan (also covers 0 <= b <= 1 with Disc < 0)
-        if not (report.disc < 0 and c < 0):
-            print("drift construction needs Disc < 0 and c < 0", file=sys.stderr)
+        alpha = report.alpha_q
+        if alpha is None:
+            print(
+                "drift construction needs Disc < 0 and c < 0, off the Disc = 0 band",
+                file=sys.stderr,
+            )
             return EXIT_USAGE
-        alpha = alpha_q(a, b, c)
         eps = merged["epsilon"]
         rep = drift(params, alpha, merged["radius"], None if eps is None else (eps,))
         if rep is None:
             print("no epsilon produced a clean boundary shell", file=sys.stderr)
             return EXIT_ANOMALY
+        small = small_set_applicable(params) and verify_small_set(params, rep.box_radius).verified
         print(
             f"exploratory scan: alpha={_fmt(alpha)} epsilon={_fmt(rep.epsilon)} "
             f"violations={rep.violations_total} shell_clean=True "
-            f"small_set_verified={rep.small_set_verified}"
+            f"small_set_verified={small}"
         )
         if merged["out"]:
-            write_json(_drift_json(rep, alpha), merged["out"])
+            write_json(_drift_json(rep, alpha, small), merged["out"])
         return EXIT_OK
 
     cert = certify_drift(params, box_radius=merged["radius"], max_radius=merged["max_radius"])
@@ -422,26 +486,11 @@ def cmd_drift(args: argparse.Namespace) -> int:
         f"bound={_fmt(cert.small_set.bound)})"
     )
     if merged["out"]:
-        write_json(_drift_json(cert.report, cert.alpha), merged["out"])
+        write_json(_drift_json(cert.report, cert.alpha, cert.small_set.verified), merged["out"])
     return EXIT_OK if cert.complete else EXIT_ANOMALY
 
 
-def _drift_json(report: DriftReport, alpha: float) -> dict:
-    return {
-        "alpha": alpha,
-        "epsilon": report.epsilon,
-        "box_radius": report.box_radius,
-        "violations_total": report.violations_total,
-        "violations": [list(v) for v in report.violation_set[:1000]],
-        "k_bound": report.k_bound,
-        "shell_clean": report.shell_clean,
-        "small_set_verified": report.small_set_verified,
-    }
-
-
-def cmd_grid(args: argparse.Namespace) -> int:
-    merged = _resolve(args)
-    _echo(args, merged)
+def cmd_grid(merged: dict) -> int:
     for key in ("a_values", "b_range", "c_range", "step"):
         if merged.get(key) is None:
             raise ValueError(f"grid requires --{key.replace('_', '-')}")
@@ -452,23 +501,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
         merged["step"],
         merged["lam"],
     )
-    base = merged["out"] or "grid"
-    csv_path, json_path = _out_paths(base)
-    write_grid_csv(cells, csv_path)
-    write_json(
-        {
-            "cells": [
-                {
-                    "a": g.a, "b": g.b, "c": g.c, "disc": g.disc,
-                    "disc_sign": g.disc_sign, "linear_stable": g.linear_stable,
-                    "verdict": g.verdict, "rule": g.rule,
-                }
-                for g in cells
-            ]
-        },
-        json_path,
-    )
-    print(f"grid: {len(cells)} cells -> {csv_path}")
+    base = (merged["out"] or "grid").removesuffix(".csv")
+    records = [_grid_record(g) for g in cells]
+    write_csv(base + ".csv", _GRID_COLUMNS, records)
+    write_json({"cells": _mirror(_GRID_COLUMNS, records)}, base + ".json")
+    print(f"grid: {len(cells)} cells -> {base}.csv")
     return EXIT_OK
 
 
@@ -484,10 +521,12 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        merged = _resolve(args)
+        if args.echo_config:
+            write_json({"command": args.command, **merged}, args.echo_config)
+        return _HANDLERS[args.command](merged)
     except (ValueError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

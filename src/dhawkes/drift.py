@@ -28,6 +28,7 @@ from .cubic import CubicReport, cubic_report, det_m_alpha_identity_check, discri
 from .model import Params, State, check_state, intensity
 
 MAX_RECORDED_VIOLATIONS = 100_000
+Q_GRID_DENSITY = 19  # grid_density of the certificate's q_form_negativity_check
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class DriftReport:
     k_bound: float
     box_radius: int
     shell_clean: bool
-    small_set_verified: bool
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon <= 1.0):
@@ -117,8 +117,7 @@ def linear_drift_scan(params: Params, epsilon: float, box_radius: int) -> DriftR
     origin.  Violations are then confirmed against the exact value.  A
     clean shell certifies the violation set is finite (it is complete
     whenever the simplex fits inside the box); the set being finite makes
-    it small by irreducibility, hence small_set_verified mirrors
-    shell_clean here.
+    it small by irreducibility.
     """
     if box_radius < 0:
         raise ValueError(f"box_radius must be >= 0, got {box_radius}")
@@ -180,7 +179,6 @@ def linear_drift_scan(params: Params, epsilon: float, box_radius: int) -> DriftR
         k_bound=k_bound,
         box_radius=box_radius,
         shell_clean=shell_clean,
-        small_set_verified=shell_clean,
     )
 
 
@@ -305,7 +303,6 @@ def scan_violations(
             if room > 0:
                 for j_, k_ in coords[:room]:
                     violations.append((i, int(j_), int(k_)))
-    small = small_set_applicable(params3) and verify_small_set(params3, box_radius).verified
     return DriftReport(
         epsilon=epsilon,
         violation_set=tuple(violations),
@@ -313,7 +310,6 @@ def scan_violations(
         k_bound=k_bound if math.isfinite(k_bound) else 0.0,
         box_radius=box_radius,
         shell_clean=shell_clean,
-        small_set_verified=small,
     )
 
 
@@ -425,7 +421,6 @@ def certify_drift(
     params3: Params,
     box_radius: int = 200,
     max_radius: int = 1600,
-    q_grid_density: int = 19,
 ) -> DriftCertificate:
     """Assemble the full numerical certificate for b < 0, c < 0, Disc < 0.
 
@@ -452,6 +447,6 @@ def certify_drift(
         epsilon=rep.epsilon,
         report=rep,
         small_set=verify_small_set(params3, radius),
-        q_max_on_octant=q_form_negativity_check(params3, alpha, q_grid_density),
+        q_max_on_octant=q_form_negativity_check(params3, alpha, Q_GRID_DENSITY),
         det_identity_residual=det_m_alpha_identity_check(a, b, c, alpha),
     )

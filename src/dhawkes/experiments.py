@@ -10,8 +10,6 @@ them in submission order, which is replica order.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -260,111 +258,3 @@ def disc_grid(
                 )
     return cells
 
-
-# ---------------------------------------------------------------------------
-# Serialization: CSV plus JSON mirrors, 17 significant digits throughout
-# ---------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _open_csv(path: str):
-    return open(path, "w", newline="", encoding="utf-8")
-
-
-def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(
-            ["swept_value", "exploded", "N", "proportion", "ci_lower", "ci_upper", "mean_tau_returned"]
-        )
-        for r in rows:
-            w.writerow(
-                [
-                    _fmt(r.value),
-                    r.exploded,
-                    r.replicas,
-                    _fmt(r.proportion),
-                    _fmt(r.interval.lower),
-                    _fmt(r.interval.upper),
-                    "" if r.mean_tau_returned is None else _fmt(r.mean_tau_returned),
-                ]
-            )
-
-
-def sweep_rows_json(spec: SweepSpec, rows: list[SweepRow]) -> dict:
-    return {
-        "fixed": spec.fixed,
-        "sweep": spec.sweep_name,
-        "lam": spec.lam,
-        "replicas": spec.replicas,
-        "alpha": spec.alpha,
-        "horizon": spec.sim.horizon_n,
-        "explosion_threshold": spec.sim.explosion_threshold_m,
-        "master_seed": spec.sim.master_seed,
-        "rows": [
-            {
-                "swept_value": r.value,
-                "exploded": r.exploded,
-                "N": r.replicas,
-                "proportion": r.proportion,
-                "ci_lower": r.interval.lower,
-                "ci_upper": r.interval.upper,
-                "mean_tau_returned": r.mean_tau_returned,
-            }
-            for r in rows
-        ],
-    }
-
-
-def write_json(obj: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def write_ecdf_csv(points: list[tuple[int, float]], path: str) -> None:
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["tau", "cumulative_fraction"])
-        for tau, frac in points:
-            w.writerow([tau, _fmt(frac)])
-
-
-def write_gallery_csv(result: GalleryResult, path: str) -> None:
-    width = max((len(e.prefix) for e in result.entries), default=0)
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["replica", "alternation_onset"] + [f"x{t}" for t in range(width)])
-        for e in result.entries:
-            onset = "" if e.alternation_onset is None else e.alternation_onset
-            w.writerow([e.replica, onset] + list(e.prefix))
-
-
-def write_grid_csv(cells: list[GridCell], path: str) -> None:
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["a", "b", "c", "disc", "disc_sign", "linear_stable", "verdict", "rule"])
-        for cell in cells:
-            w.writerow(
-                [
-                    _fmt(cell.a),
-                    _fmt(cell.b),
-                    _fmt(cell.c),
-                    _fmt(cell.disc),
-                    cell.disc_sign,
-                    int(cell.linear_stable),
-                    cell.verdict,
-                    cell.rule,
-                ]
-            )
-
-
-def write_trajectory_csv(states: list[tuple[int, ...]], path: str) -> None:
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["step", "count"])
-        for n, s in enumerate(states, start=1):
-            w.writerow([n, s[0]])

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shlex
@@ -5,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from dhawkes.cli import build_parser, main
+from dhawkes.cli import build_parser, main, write_csv
+from dhawkes.experiments import SweepSpec, sweep_explosion
+from dhawkes.simulate import SimConfig
 
 
 def run(argv, capsys):
@@ -107,6 +110,73 @@ def test_sweep_writes_csv_and_json(tmp_path, capsys):
     data = json.loads((tmp_path / "sweep.json").read_text())
     assert len(data["rows"]) == 3
     assert data["rows"][0]["swept_value"] == 0.0
+
+
+def _sweep_argv(base, values="0", replicas=200):
+    return ["sweep", "--fix", "a=3,c=-15", "--sweep", f"b={values}", "--replicas", str(replicas),
+            "--seed", "42", "--horizon", "2000", "--jobs", "1", "--out", str(base)]
+
+
+def test_sweep_csv_roundtrip_bytes(tmp_path, capsys):
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(_sweep_argv(p1, "0,4", 500), capsys)[0] == 0
+    assert run(_sweep_argv(p2, "0,4", 500), capsys)[0] == 0
+    assert p1.read_bytes() == p2.read_bytes()
+    header = p1.read_text().splitlines()[0]
+    assert header == "swept_value,exploded,N,proportion,ci_lower,ci_upper,mean_tau_returned"
+
+
+def test_sweep_json_mirror(tmp_path, capsys):
+    assert run(_sweep_argv(tmp_path / "rows"), capsys)[0] == 0
+    spec = SweepSpec(
+        fixed={"a": 3.0, "c": -15.0}, sweep_name="b", values=(0.0,), replicas=200,
+        sim=SimConfig(horizon_n=2000, master_seed=42), jobs=1,
+    )
+    rows = sweep_explosion(spec)
+    loaded = json.loads((tmp_path / "rows.json").read_text())
+    assert loaded["rows"][0]["exploded"] == rows[0].exploded
+    assert loaded["replicas"] == 200
+    assert loaded["master_seed"] == 42
+
+
+def _rule(v):
+    """The CSV formatting rule, stated independently of the writer."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def test_write_csv_formatting_rule(tmp_path):
+    path = tmp_path / "rule.csv"
+    write_csv(str(path), ["float", "bool", "none", "int"], [[0.1, True, None, 7]])
+    assert path.read_text() == "float,bool,none,int\n0.10000000000000001,1,,7\n"
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["sweep", "--fix", "a=3,c=-15", "--sweep", "b=0,1.1,4", "--replicas", "300",
+          "--seed", "3", "--horizon", "500", "--jobs", "1"], "rows"),
+        (["grid", "--a-values", "0.5,3", "--b-range=-1.5:1", "--c-range=-1:0.5",
+          "--step", "0.5"], "cells"),
+    ],
+    ids=["sweep", "grid"],
+)
+def test_csv_rows_match_json_mirror(argv, key, tmp_path, capsys):
+    base = tmp_path / "out"
+    code, _, err = run(argv + ["--out", str(base)], capsys)
+    assert code == 0, err
+    with open(tmp_path / "out.csv", newline="", encoding="utf-8") as f:
+        header, *lines = list(csv.reader(f))
+    mirror = json.loads((tmp_path / "out.json").read_text())[key]
+    assert len(lines) == len(mirror) > 1
+    for line, obj in zip(lines, mirror):
+        assert sorted(obj) == sorted(header)
+        assert line == [_rule(obj[name]) for name in header]
 
 
 def test_config_echo_roundtrip(tmp_path, capsys):
@@ -213,6 +283,16 @@ def test_drift_exploratory_scan(capsys):
     assert code == 0
     assert "exploratory" in out
     assert "small_set_verified=False" in out
+
+
+def test_drift_on_disc_band_exits_2(capsys):
+    # Disc = -6.8e-11 lies inside the Disc = 0 band: no alpha_q, no exploratory scan
+    code, out, err = run(
+        ["drift", "-a", "3", "-b", "0.5", "-c", "-5.020288049381336", "--radius", "10"], capsys
+    )
+    assert code == 2
+    assert out.startswith("disc=-6.8")
+    assert "Disc = 0 band" in err
 
 
 def test_drift_zero_epsilon_exits_2(capsys):

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from dhawkes.experiments import (
@@ -9,10 +7,7 @@ from dhawkes.experiments import (
     exploding_gallery,
     run_excursions,
     sweep_explosion,
-    sweep_rows_json,
     tau_cdf_experiment,
-    write_json,
-    write_sweep_csv,
 )
 from dhawkes.classify import classify
 from dhawkes.cubic import discriminant, spectral_radius
@@ -80,16 +75,6 @@ def test_sweep_rows_match_outcome_recount():
     returned = [o.steps for o in outcomes if o.kind is ExcursionKind.RETURNED]
     assert rows[0].exploded == exploded
     assert rows[0].mean_tau_returned == pytest.approx(sum(returned) / len(returned))
-
-
-def test_sweep_csv_roundtrip_bytes(tmp_path):
-    rows = sweep_explosion(spec_at([0.0, 4.0], replicas=500))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_sweep_csv(rows, str(p1))
-    write_sweep_csv(sweep_explosion(spec_at([0.0, 4.0], replicas=500)), str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().splitlines()[0]
-    assert header == "swept_value,exploded,N,proportion,ci_lower,ci_upper,mean_tau_returned"
 
 
 def test_interval_narrows_with_more_replicas():
@@ -175,14 +160,3 @@ def test_disc_grid_stable_cells_only_for_small_a():
     assert 3.0 not in stable_a
     # the a = 0.5 slice also contains positive-part-sum ergodic cells
     assert any(c.a == 0.5 and c.verdict == "ErgodicGeneralP" for c in cells)
-
-
-def test_sweep_json_mirror(tmp_path):
-    spec = spec_at([0.0], replicas=200)
-    rows = sweep_explosion(spec)
-    path = tmp_path / "rows.json"
-    write_json(sweep_rows_json(spec, rows), str(path))
-    loaded = json.loads(path.read_text())
-    assert loaded["rows"][0]["exploded"] == rows[0].exploded
-    assert loaded["replicas"] == 200
-    assert loaded["master_seed"] == 42
