@@ -6,7 +6,8 @@ can echo its fully resolved configuration to a JSON file; re-ingesting
 that file reproduces the identical run.
 
 Exit codes: 0 success, 2 usage or parse error, 3 output I/O error,
-4 flagged numerical anomaly (dirty boundary shell, partial gallery).
+4 flagged numerical anomaly (no clean boundary shell up to --max-radius,
+a failed premise of a b < 0 drift certificate, partial gallery).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import asdict, fields
 
 from .classify import classify, grid_values
 from .cubic import cubic_report
-from .drift import DriftReport, certify_drift, drift, small_set_applicable, verify_small_set
+from .drift import DriftCertificate, certify_drift
 from .experiments import (
     GridCell,
     SweepRow,
@@ -59,7 +60,7 @@ DEFAULTS: dict[str, dict] = {
     },
     "drift": {
         "a": None, "b": None, "c": None, "lam": 1.0, "radius": 200,
-        "max_radius": 1600, "epsilon": None, "out": None,
+        "max_radius": 1600, "out": None,
     },
     "grid": {
         "a_values": None, "b_range": None, "c_range": None, "step": None,
@@ -173,9 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("drift", help="verify the drift construction numerically")
     add_abc(p)
-    p.add_argument("--radius", type=int, help="scan box radius (default 200)")
+    p.add_argument("--radius", type=int, help="scan box radius, >= 1 (default 200)")
     p.add_argument("--max-radius", type=int, dest="max_radius", help="doubling cap (default 1600)")
-    p.add_argument("--epsilon", type=float, help="fixed epsilon instead of the grid search")
     p.add_argument("--out", help="write the report as JSON")
     add_common(p)
 
@@ -317,16 +317,17 @@ def _sweep_json(spec: SweepSpec, records: list[tuple]) -> dict:
     }
 
 
-def _drift_json(report: DriftReport, alpha: float, small_set_verified: bool) -> dict:
+def _drift_json(cert: DriftCertificate) -> dict:
+    report = cert.report
     return {
-        "alpha": alpha,
+        "alpha": cert.alpha,
         "epsilon": report.epsilon,
         "box_radius": report.box_radius,
         "violations_total": report.violations_total,
         "violations": [list(v) for v in report.violation_set[:1000]],
         "k_bound": report.k_bound,
         "shell_clean": report.shell_clean,
-        "small_set_verified": small_set_verified,
+        "small_set_verified": cert.small_set is not None and cert.small_set.verified,
     }
 
 
@@ -407,11 +408,12 @@ def cmd_ecdf(merged: dict) -> int:
     spec = _sweep_spec(merged)
     curves = tau_cdf_experiment(spec)
     base = (merged["out"] or "ecdf").removesuffix(".csv")
-    for value, points in curves.items():
-        write_csv(f"{base}_{spec.sweep_name}{value:g}.csv", ("tau", "cumulative_fraction"), points)
+    keyed = {f"{v:.17g}": points for v, points in curves.items()}  # file name = mirror key
+    for key, points in keyed.items():
+        write_csv(f"{base}_{spec.sweep_name}{key}.csv", ("tau", "cumulative_fraction"), points)
     mirror = {
         "spec": _sweep_json(spec, []),
-        "curves": {f"{v:.17g}": [list(pt) for pt in pts] for v, pts in curves.items()},
+        "curves": {key: [list(pt) for pt in pts] for key, pts in keyed.items()},
     }
     write_json(mirror, base + ".json")
     print(f"ecdf: {len(curves)} curves -> {base}_*.csv")
@@ -442,35 +444,13 @@ def cmd_gallery(merged: dict) -> int:
 
 def cmd_drift(merged: dict) -> int:
     params = _params3_from(merged)
-    a, b, c = params.abc
-    report = cubic_report(a, b, c)
-    print(f"disc={_fmt(report.disc)}")
-
-    if merged["epsilon"] is not None or not (b < 0 and c < 0 and report.disc < 0):
-        # manual/exploratory scan (also covers 0 <= b <= 1 with Disc < 0)
-        alpha = report.alpha_q
-        if alpha is None:
-            print(
-                "drift construction needs Disc < 0 and c < 0, off the Disc = 0 band",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        eps = merged["epsilon"]
-        rep = drift(params, alpha, merged["radius"], None if eps is None else (eps,))
-        if rep is None:
-            print("no epsilon produced a clean boundary shell", file=sys.stderr)
-            return EXIT_ANOMALY
-        small = small_set_applicable(params) and verify_small_set(params, rep.box_radius).verified
-        print(
-            f"exploratory scan: alpha={_fmt(alpha)} epsilon={_fmt(rep.epsilon)} "
-            f"violations={rep.violations_total} shell_clean=True "
-            f"small_set_verified={small}"
-        )
-        if merged["out"]:
-            write_json(_drift_json(rep, alpha, small), merged["out"])
-        return EXIT_OK
-
-    cert = certify_drift(params, box_radius=merged["radius"], max_radius=merged["max_radius"])
+    print(f"disc={_fmt(cubic_report(*params.abc).disc)}")
+    try:
+        cert = certify_drift(params, box_radius=merged["radius"], max_radius=merged["max_radius"])
+    except RuntimeError as e:  # no clean shell up to the doubling cap
+        print(e, file=sys.stderr)
+        return EXIT_ANOMALY
+    small = cert.small_set
     print(f"alpha_q={_fmt(cert.alpha)}")
     print(f"r_at_alpha_q={_fmt(cert.cubic.r_at_alpha_q)}")
     print(f"k_at_alpha_q={_fmt(cert.cubic.k_at_alpha_q)}")
@@ -480,14 +460,18 @@ def cmd_drift(merged: dict) -> int:
     print(f"k_bound={_fmt(cert.report.k_bound)}")
     print(f"q_max_on_octant={_fmt(cert.q_max_on_octant)}")
     print(f"det_identity_residual={cert.det_identity_residual:.3e}")
-    print(
-        f"small_set_verified={cert.small_set.verified} "
-        f"(witness={_fmt(cert.small_set.witness_probability)}, "
-        f"bound={_fmt(cert.small_set.bound)})"
-    )
+    if small is None:
+        print("small_set_verified=False (not applicable: b >= 0)")
+        print("exploratory: b >= 0 is outside the theorem's hypothesis b < 0; "
+              "the lines above are evidence, not a certificate")
+    else:
+        print(
+            f"small_set_verified={small.verified} "
+            f"(witness={_fmt(small.witness_probability)}, bound={_fmt(small.bound)})"
+        )
     if merged["out"]:
-        write_json(_drift_json(cert.report, cert.alpha, cert.small_set.verified), merged["out"])
-    return EXIT_OK if cert.complete else EXIT_ANOMALY
+        write_json(_drift_json(cert), merged["out"])
+    return EXIT_OK if cert.complete or small is None else EXIT_ANOMALY
 
 
 def cmd_grid(merged: dict) -> int:

@@ -9,7 +9,8 @@ Two families are checked on finite boxes of the state space:
   for the p = 3 inhibition regime b < 0, c < 0, Disc < 0, with alpha at
   the positive root of the mirror cubic so that the drift's quadratic
   form degenerates to negative semidefinite with an isotropic line that
-  avoids the positive octant.
+  avoids the positive octant.  Where alpha_q exists but b >= 0 the same
+  checks run as evidence, never as a certificate.
 
 Both drifts admit closed-form one-step expectations (the count is
 Poisson, V is affine in the new coordinate), so no sampling is involved:
@@ -29,6 +30,7 @@ from .model import Params, State, check_state, intensity
 
 MAX_RECORDED_VIOLATIONS = 100_000
 Q_GRID_DENSITY = 19  # grid_density of the certificate's q_form_negativity_check
+EPSILONS = tuple(2.0**-k for k in range(1, 21))  # the certificate's epsilon grid, largest first
 
 
 @dataclass(frozen=True)
@@ -232,15 +234,15 @@ def q_form_negativity_check(params3: Params, alpha: float, grid_density: int) ->
     """Max of q over unit directions of the closed positive octant.
 
     Directions are the normalized integer compositions (m1, m2, m3) of
-    grid_density, which include the three axes.  Under the inhibition
-    hypotheses the maximum must be strictly negative: the isotropic line
-    of the degenerate form leaves the octant.
+    grid_density, which include the three axes.  Wherever alpha_q exists
+    (Disc < 0, c < 0) the maximum at alpha_q should be strictly negative:
+    the isotropic line of the degenerate form leaves the octant.
     """
     if grid_density < 1:
         raise ValueError(f"grid_density must be >= 1, got {grid_density}")
     a, b, c = params3.abc
-    if not (discriminant(a, b, c) < 0.0 and b < 0.0 and c < 0.0):
-        raise ValueError("negativity check requires b < 0, c < 0 and Disc < 0")
+    if not (discriminant(a, b, c) < 0.0 and c < 0.0):
+        raise ValueError("negativity check requires Disc < 0 and c < 0")
     best = -math.inf
     d = grid_density
     for m1 in range(d + 1):
@@ -251,6 +253,21 @@ def q_form_negativity_check(params3: Params, alpha: float, grid_density: int) ->
             if val > best:
                 best = val
     return best
+
+
+def _drift_terms(params3: Params, alpha: float, i, j, k):
+    """Clipped mask, Delta V_alpha and V_alpha at the states (i, j, k).
+
+    i, j and k are scalars or arrays that broadcast together; every state
+    gets the same elementwise arithmetic, so a shell and a cube agree
+    bit for bit on the states they share.
+    """
+    a, b, c = params3.abc
+    s_raw = a * i + b * j + c * k + params3.lam
+    num = i + alpha * j
+    ratio = num / (j + alpha * k + 1.0)
+    dv = (np.maximum(s_raw, 0.0) + alpha * i) / (num + 1.0) - ratio
+    return s_raw <= 0.0, dv, ratio + 1.0
 
 
 def scan_violations(
@@ -271,23 +288,16 @@ def scan_violations(
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    a, b, c = params3.abc
-    lam = params3.lam
     r = box_radius
     axis = np.arange(r + 1, dtype=np.float64)
     jj, kk = np.meshgrid(axis, axis, indexing="ij")
-    denom_jk = jj + alpha * kk + 1.0
 
     violations: list[State] = []
     total = 0
     k_bound = -math.inf
     shell_clean = True
     for i in range(r + 1):
-        s_raw = a * i + b * jj + c * kk + lam
-        s = np.maximum(s_raw, 0.0)
-        in_a = s_raw <= 0.0
-        v = (i + alpha * jj) / denom_jk + 1.0
-        dv = (s + alpha * i) / (i + alpha * jj + 1.0) - (i + alpha * jj) / denom_jk
+        in_a, dv, v = _drift_terms(params3, alpha, i, jj, kk)
         dvev = dv + epsilon * v
         bad = np.logical_and(~in_a, dvev > 0.0)
         contrib = dvev[np.logical_or(bad, in_a)]
@@ -311,6 +321,26 @@ def scan_violations(
         box_radius=box_radius,
         shell_clean=shell_clean,
     )
+
+
+def _shell_epsilon(params3: Params, alpha: float, r: int) -> float | None:
+    """Largest epsilon of EPSILONS with no violation on the shell max(i, j, k) = r.
+
+    The shell is three faces: i = r; i < r, j = r; i, j < r, k = r.  As
+    V_alpha >= 1, Delta V + eps*V only grows with eps, so a face clean at
+    one grid value is clean at every smaller one and the search never
+    steps back.  None when no grid value is clean.
+    """
+    axis = np.arange(r + 1, dtype=np.float64)
+    inner = axis[:-1, None]
+    faces = ((r, axis[:, None], axis), (inner, r, axis), (inner, axis[:-1], r))
+    idx = 0
+    for i, j, k in faces:
+        in_a, dv, v = _drift_terms(params3, alpha, i, j, k)
+        dv, v = dv[~in_a], v[~in_a]
+        while idx < len(EPSILONS) and (dv + EPSILONS[idx] * v > 0.0).any():
+            idx += 1
+    return EPSILONS[idx] if idx < len(EPSILONS) else None
 
 
 def small_set_applicable(params3: Params) -> bool:
@@ -377,13 +407,18 @@ def verify_small_set(params3: Params, box_radius: int) -> SmallSetCheck:
 
 @dataclass(frozen=True)
 class DriftCertificate:
-    """Machine-checked premises of geometric ergodicity for one parameter triple."""
+    """Machine-checked premises of geometric ergodicity for one parameter triple.
+
+    small_set is None outside the theorem's hypothesis b < 0: there the
+    scan and the q-form check are evidence, and the certificate is never
+    complete.
+    """
 
     cubic: CubicReport
     alpha: float
     epsilon: float
     report: DriftReport
-    small_set: SmallSetCheck
+    small_set: SmallSetCheck | None
     q_max_on_octant: float
     det_identity_residual: float
 
@@ -391,30 +426,10 @@ class DriftCertificate:
     def complete(self) -> bool:
         return (
             self.report.shell_clean
+            and self.small_set is not None
             and self.small_set.verified
             and self.q_max_on_octant < 0.0
         )
-
-
-def drift(
-    params3: Params,
-    alpha: float,
-    box_radius: int,
-    epsilons: tuple[float, ...] | None = None,
-) -> DriftReport | None:
-    """First scan of V_alpha over [0, box_radius]^3 with a clean boundary shell.
-
-    Epsilons are tried in order; the default is the geometric grid
-    2^-1, ..., 2^-20, so the largest clean value wins.  None when no
-    epsilon gives a violation-free shell at this radius.
-    """
-    if epsilons is None:
-        epsilons = tuple(2.0**-k for k in range(1, 21))
-    for eps in epsilons:
-        rep = scan_violations(params3, alpha, eps, box_radius)
-        if rep.shell_clean:
-            return rep
-    return None
 
 
 def certify_drift(
@@ -422,31 +437,30 @@ def certify_drift(
     box_radius: int = 200,
     max_radius: int = 1600,
 ) -> DriftCertificate:
-    """Assemble the full numerical certificate for b < 0, c < 0, Disc < 0.
+    """Check the V_alpha drift premises at alpha_q (Disc < 0, c < 0, off the band).
 
-    Epsilon comes from the clean-shell search of `drift`; when no epsilon
-    is clean the box is doubled, up to max_radius.
+    Epsilon is the largest value of EPSILONS whose boundary shell is
+    violation-free; when none is, the box is doubled, up to max_radius.
+    The cube is then scanned once at the chosen epsilon and radius.
     """
+    if box_radius < 1:
+        raise ValueError(f"box_radius must be >= 1, got {box_radius}")
     a, b, c = params3.abc
     cubic = cubic_report(a, b, c)
-    if cubic.on_boundary:
-        raise ValueError("parameters sit on the Disc = 0 boundary band; not certifiable")
-    if not (b < 0.0 and c < 0.0 and cubic.disc < 0.0):
-        raise ValueError("certification requires b < 0, c < 0 and Disc < 0")
     alpha = cubic.alpha_q
+    if alpha is None:
+        raise ValueError("drift construction needs Disc < 0 and c < 0, off the Disc = 0 band")
     radius = box_radius
-    while (rep := drift(params3, alpha, radius)) is None:
+    while (eps := _shell_epsilon(params3, alpha, radius)) is None:
         if radius >= max_radius:
-            raise RuntimeError(
-                f"no epsilon in the grid yields a clean shell up to radius {max_radius}"
-            )
+            raise RuntimeError(f"no epsilon in the grid yields a clean shell up to radius {radius}")
         radius = min(2 * radius, max_radius)
     return DriftCertificate(
         cubic=cubic,
         alpha=alpha,
-        epsilon=rep.epsilon,
-        report=rep,
-        small_set=verify_small_set(params3, radius),
+        epsilon=eps,
+        report=scan_violations(params3, alpha, eps, radius),
+        small_set=verify_small_set(params3, radius) if b < 0.0 else None,
         q_max_on_octant=q_form_negativity_check(params3, alpha, Q_GRID_DENSITY),
         det_identity_residual=det_m_alpha_identity_check(a, b, c, alpha),
     )

@@ -179,6 +179,25 @@ def test_csv_rows_match_json_mirror(argv, key, tmp_path, capsys):
         assert line == [_rule(obj[name]) for name in header]
 
 
+def test_ecdf_close_values_write_one_file_each(tmp_path, capsys):
+    # 1 and 1.0000001 agree to 6 digits; each curve file is named by its mirror key
+    code, out, err = run(
+        ["ecdf", "--fix", "a=3,c=-15", "--sweep", "b=1,1.0000001", "--replicas", "50",
+         "--jobs", "1", "--horizon", "200", "--out", str(tmp_path / "x")],
+        capsys,
+    )
+    assert code == 0, err
+    assert "2 curves" in out
+    curves = json.loads((tmp_path / "x.json").read_text())["curves"]
+    assert sorted(curves) == ["1", "1.0000001000000001"]
+    assert {p.name for p in tmp_path.glob("x_*.csv")} == {f"x_b{key}.csv" for key in curves}
+    for key, points in curves.items():
+        with open(tmp_path / f"x_b{key}.csv", newline="", encoding="utf-8") as f:
+            header, *lines = list(csv.reader(f))
+        assert header == ["tau", "cumulative_fraction"]
+        assert lines == [[_rule(v) for v in pt] for pt in points]
+
+
 def test_config_echo_roundtrip(tmp_path, capsys):
     base1 = tmp_path / "s1"
     echo = tmp_path / "echo.json"
@@ -295,11 +314,21 @@ def test_drift_on_disc_band_exits_2(capsys):
     assert "Disc = 0 band" in err
 
 
-def test_drift_zero_epsilon_exits_2(capsys):
-    # a fixed epsilon of 0 used to fall through to the full epsilon grid
-    code, _, err = run(["drift", "-a", "2.5", "-b", "-1", "-c", "-3", "--epsilon", "0"], capsys)
+def test_drift_radius_zero_exits_2(capsys):
+    # doubling from radius 0 would stay at 0 forever
+    code, out, err = run(["drift", "-a", "2.5", "-b", "-1", "-c", "-3", "--radius", "0"], capsys)
     assert code == 2
-    assert "error:" in err
+    assert out.startswith("disc=")
+    assert err.startswith("error:")
+
+
+def test_drift_no_clean_shell_exits_4(capsys):
+    code, out, err = run(
+        ["drift", "-a", "2.5", "-b", "-1", "-c", "-3", "--radius", "5", "--max-radius", "5"], capsys
+    )
+    assert code == 4
+    assert out.startswith("disc=")
+    assert err.splitlines() == ["no epsilon in the grid yields a clean shell up to radius 5"]
 
 
 def test_drift_inapplicable_exits_2(capsys):

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dhawkes.cubic import alpha_q, k_of_alpha, r_of_alpha
+from dhawkes.cubic import alpha_q, boundary_band, cubic_report, discriminant, k_of_alpha, r_of_alpha
 from dhawkes.drift import (
     certify_drift,
     delta_v_alpha,
-    drift,
     q_form,
     q_form_negativity_check,
     scan_violations,
@@ -182,7 +181,10 @@ def test_q_negativity_check_at_reference_point():
 
 def test_q_negativity_check_preconditions():
     with pytest.raises(ValueError):
-        q_form_negativity_check(Params.p3(0.5, 0.5, -0.5), 1.0, 10)
+        q_form_negativity_check(Params.p3(0.0, 3.0, 0.5), 1.0, 10)  # c > 0
+    # b > 0 is allowed wherever alpha_q exists (Disc < 0, c < 0)
+    qmax = q_form_negativity_check(Params.p3(0.5, 0.5, -0.5), alpha_q(0.5, 0.5, -0.5), 10)
+    assert math.isfinite(qmax)
 
 
 def test_isotropic_direction_leaves_positive_octant():
@@ -224,10 +226,29 @@ def test_scan_violations_dirty_shell_flagged():
     assert not report.shell_clean
 
 
+def _full_cube_search(params3, alpha, radius, max_radius):
+    """The search certify_drift replaced: every grid epsilon scans the whole cube."""
+    while True:
+        for k in range(1, 21):
+            rep = scan_violations(params3, alpha, 2.0**-k, radius)
+            if rep.shell_clean:
+                return rep
+        if radius >= max_radius:
+            return None
+        radius = min(2 * radius, max_radius)
+
+
+def _certified_report(params3, radius, max_radius):
+    try:
+        return certify_drift(params3, box_radius=radius, max_radius=max_radius).report
+    except RuntimeError:
+        return None
+
+
 def test_drift_takes_largest_clean_epsilon_of_the_grid():
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
     aq = alpha_q(2.5, -1.0, -3.0)
-    report = drift(params, aq, 60)
+    report = certify_drift(params, box_radius=60, max_radius=60).report
     assert report == scan_violations(params, aq, report.epsilon, 60)
     assert report.shell_clean
     k = round(-math.log2(report.epsilon))
@@ -237,11 +258,39 @@ def test_drift_takes_largest_clean_epsilon_of_the_grid():
 
 
 def test_drift_none_without_clean_shell():
+    # no grid epsilon leaves the radius-5 shell clean, and doubling is capped at 5
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
-    aq = alpha_q(2.5, -1.0, -3.0)
-    assert drift(params, aq, 40, (0.5,)) is None
+    assert _full_cube_search(params, alpha_q(2.5, -1.0, -3.0), 5, 5) is None
+    with pytest.raises(RuntimeError, match="radius 5"):
+        certify_drift(params, box_radius=5, max_radius=5)
     with pytest.raises(ValueError):
-        drift(params, aq, 40, (0.0,))
+        scan_violations(params, alpha_q(2.5, -1.0, -3.0), 0.0, 40)
+
+
+def test_shell_search_matches_full_cube_search_at_random_points():
+    rng = np.random.default_rng(47)
+    seen = {"b<0": 0, "b>=0": 0, "doubled": 0}
+    while sum(seen[k] for k in ("b<0", "b>=0")) < 48:
+        a, b, c = rng.uniform(-3, 3), rng.uniform(-3, 1.5), rng.uniform(-6, -0.1)
+        alpha = cubic_report(a, b, c).alpha_q
+        if alpha is None:
+            continue
+        params = Params.p3(a, b, c, 1.0)
+        radius = int(rng.integers(1, 13))
+        expected = _full_cube_search(params, alpha, radius, 48)
+        assert _certified_report(params, radius, 48) == expected, (a, b, c, radius)
+        seen["b<0" if b < 0 else "b>=0"] += 1
+        if expected is not None and expected.box_radius > radius:
+            seen["doubled"] += 1
+    assert min(seen["b<0"], seen["b>=0"]) >= 10 and seen["doubled"] >= 5, seen
+
+
+@pytest.mark.parametrize("abc", [(3.0, 0.5, -15.0), (3.0, 0.9, -15.0), (2.0, 0.3, -8.0)])
+def test_shell_search_matches_full_cube_search_conjectured_points(abc):
+    params = Params.p3(*abc, 1.0)
+    expected = _full_cube_search(params, alpha_q(*abc), 120, 1600)
+    assert expected is not None
+    assert certify_drift(params, box_radius=120).report == expected
 
 
 def test_verify_small_set_reference_point():
@@ -281,15 +330,20 @@ def test_certify_drift_end_to_end():
 
 
 def test_certify_drift_requires_inhibition_hypotheses():
-    with pytest.raises(ValueError):
-        certify_drift(Params.p3(3.0, 0.5, -15.0))  # b > 0
+    # no alpha_q: c > 0, and a point inside the Disc = 0 band
+    for abc in ((0.0, 3.0, 0.5), (3.0, 0.5, -5.020288049381336)):
+        with pytest.raises(ValueError):
+            certify_drift(Params.p3(*abc), box_radius=10)
+    # b > 0 has an alpha_q but lies outside the theorem: evidence, never complete
+    cert = certify_drift(Params.p3(3.0, 0.5, -15.0), box_radius=40)
+    assert cert.report.shell_clean
+    assert cert.small_set is None
+    assert cert.complete is False
 
 
 def test_certificates_across_the_inhibition_region():
     # 100 random triples with b < 0, c < 0, Disc < 0: the scan must find a
     # violation-free shell and the small-set bound must hold for each
-    from dhawkes.cubic import boundary_band, discriminant
-
     rng = np.random.default_rng(46)
     done = 0
     while done < 100:
