@@ -320,7 +320,7 @@ def _sweep_json(spec: SweepSpec, records: list[tuple]) -> dict:
 def _drift_json(cert: DriftCertificate) -> dict:
     report = cert.report
     return {
-        "alpha": cert.alpha,
+        "alpha": cert.cubic.alpha_q,
         "epsilon": report.epsilon,
         "box_radius": report.box_radius,
         "violations_total": report.violations_total,
@@ -451,10 +451,10 @@ def cmd_drift(merged: dict) -> int:
         print(e, file=sys.stderr)
         return EXIT_ANOMALY
     small = cert.small_set
-    print(f"alpha_q={_fmt(cert.alpha)}")
+    print(f"alpha_q={_fmt(cert.cubic.alpha_q)}")
     print(f"r_at_alpha_q={_fmt(cert.cubic.r_at_alpha_q)}")
     print(f"k_at_alpha_q={_fmt(cert.cubic.k_at_alpha_q)}")
-    print(f"epsilon={_fmt(cert.epsilon)}")
+    print(f"epsilon={_fmt(cert.report.epsilon)}")
     print(f"violations={cert.report.violations_total} (radius {cert.report.box_radius})")
     print(f"shell_clean={cert.report.shell_clean}")
     print(f"k_bound={_fmt(cert.report.k_bound)}")

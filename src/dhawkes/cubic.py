@@ -134,34 +134,15 @@ def alpha_q(a: float, b: float, c: float) -> float:
     """The unique (positive) real root of Q(X) = X^3 + a X^2 - b X + c.
 
     Requires Disc(P) < 0 (so Q has exactly one real root) and c < 0 (so
-    Q(0) < 0 and the root is positive).  Bracketing bisection on
-    [0, 1+|a|+|b|+|c|] followed by Newton polish; deterministic.
+    Q(0) < 0 and the root is positive).  As Q(X) = -P(-X), it is minus
+    P's real root, read from the same solve as `real_roots`.
     """
     disc = discriminant(a, b, c)
     if not disc < 0.0:
         raise ValueError(f"alpha_q requires Disc < 0, got Disc={disc}")
     if not c < 0.0:
         raise ValueError(f"alpha_q requires c < 0, got c={c}")
-    return _alpha_q(a, b, c)
-
-
-def _alpha_q(a: float, b: float, c: float) -> float:
-    """alpha_q without its precondition checks."""
-    lo, hi = 0.0, 1.0 + abs(a) + abs(b) + abs(c)
-    # Q(lo) = c < 0 and hi exceeds the Cauchy root bound, so Q(hi) > 0.
-    while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if q_eval(a, b, c, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(6):
-        dq = (3.0 * x + 2.0 * a) * x - b
-        if abs(dq) < 1e-300:
-            break
-        x = x - q_eval(a, b, c, x) / dq
-    return x
+    return -_roots(a, b, c, disc, False)[0][0]
 
 
 def r_of_alpha(a: float, b: float, alpha: float) -> float:
@@ -222,8 +203,6 @@ class CubicReport:
     on_boundary: bool
     real_roots: tuple[float, ...]
     spectral_radius: float
-    c_minus: float | None
-    c_plus: float | None
     alpha_q: float | None
     r_at_alpha_q: float | None
     k_at_alpha_q: float | None
@@ -232,18 +211,17 @@ class CubicReport:
 def cubic_report(a: float, b: float, c: float) -> CubicReport:
     """Assemble a CubicReport, solving for Disc, band and roots once.
 
-    alpha_q fields only when Disc < 0 and c < 0; ValueError where Disc overflows.
+    alpha_q fields only when Disc < 0 and c < 0, off the band; ValueError
+    where Disc overflows.
     """
     for name, v in (("a", a), ("b", b), ("c", c)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
     disc, on_band = _disc_and_band(a, b, c)
     roots, radius = _roots(a, b, c, disc, on_band)
-    bounds = c_bounds(a, b)
-    cm, cp = bounds if bounds is not None else (None, None)
     aq = rq = kq = None
     if disc < 0.0 and c < 0.0 and not on_band:
-        aq = _alpha_q(a, b, c)
+        aq = -roots[0]  # Q(X) = -P(-X): alpha_q is minus P's one real root
         rq = r_of_alpha(a, b, aq)
         kq = k_of_alpha(a, b, c, aq)
     return CubicReport(
@@ -254,8 +232,6 @@ def cubic_report(a: float, b: float, c: float) -> CubicReport:
         on_boundary=on_band,
         real_roots=tuple(roots),
         spectral_radius=radius,
-        c_minus=cm,
-        c_plus=cp,
         alpha_q=aq,
         r_at_alpha_q=rq,
         k_at_alpha_q=kq,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import CubicReport, cubic_report, det_m_alpha_identity_check, discriminant
+from .cubic import CubicReport, cubic_report, det_m_alpha_identity_check, discriminant, m_alpha
 from .model import Params, State, check_state, intensity
 
 MAX_RECORDED_VIOLATIONS = 100_000
@@ -214,24 +214,8 @@ def delta_v_alpha(params3: Params, alpha: float, state: State) -> float:
     return (s + alpha * i) / (i + alpha * j + 1.0) - (i + alpha * j) / (j + alpha * k + 1.0)
 
 
-def q_form(a: float, b: float, c: float, alpha: float, x: float, y: float, z: float) -> float:
-    """Quadratic part of the V_alpha drift numerator.
-
-    q = -x^2 + (b - alpha^2) y^2 + c*alpha*z^2 + (a - alpha) xy
-        + alpha(a + alpha) xz + (c + b*alpha) yz.
-    """
-    return (
-        -x * x
-        + (b - alpha * alpha) * y * y
-        + c * alpha * z * z
-        + (a - alpha) * x * y
-        + alpha * (a + alpha) * x * z
-        + (c + b * alpha) * y * z
-    )
-
-
 def q_form_negativity_check(params3: Params, alpha: float, grid_density: int) -> float:
-    """Max of q over unit directions of the closed positive octant.
+    """Max of the drift form d^T M_alpha d over unit directions d of the positive octant.
 
     Directions are the normalized integer compositions (m1, m2, m3) of
     grid_density, which include the three axes.  Wherever alpha_q exists
@@ -243,16 +227,10 @@ def q_form_negativity_check(params3: Params, alpha: float, grid_density: int) ->
     a, b, c = params3.abc
     if not (discriminant(a, b, c) < 0.0 and c < 0.0):
         raise ValueError("negativity check requires Disc < 0 and c < 0")
-    best = -math.inf
     d = grid_density
-    for m1 in range(d + 1):
-        for m2 in range(d + 1 - m1):
-            m3 = d - m1 - m2
-            norm = math.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
-            val = q_form(a, b, c, alpha, m1 / norm, m2 / norm, m3 / norm)
-            if val > best:
-                best = val
-    return best
+    m = np.array([(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)], float)
+    u = m / np.sqrt((m * m).sum(axis=1))[:, None]
+    return float(np.einsum("ni,ij,nj->n", u, m_alpha(a, b, c, alpha), u).max())
 
 
 def _drift_terms(params3: Params, alpha: float, i, j, k):
@@ -409,14 +387,13 @@ def verify_small_set(params3: Params, box_radius: int) -> SmallSetCheck:
 class DriftCertificate:
     """Machine-checked premises of geometric ergodicity for one parameter triple.
 
+    alpha is cubic.alpha_q and epsilon is report.epsilon.
     small_set is None outside the theorem's hypothesis b < 0: there the
     scan and the q-form check are evidence, and the certificate is never
     complete.
     """
 
     cubic: CubicReport
-    alpha: float
-    epsilon: float
     report: DriftReport
     small_set: SmallSetCheck | None
     q_max_on_octant: float
@@ -442,9 +419,12 @@ def certify_drift(
     Epsilon is the largest value of EPSILONS whose boundary shell is
     violation-free; when none is, the box is doubled, up to max_radius.
     The cube is then scanned once at the chosen epsilon and radius.
+    ValueError when box_radius < 1 or max_radius < box_radius.
     """
     if box_radius < 1:
         raise ValueError(f"box_radius must be >= 1, got {box_radius}")
+    if max_radius < box_radius:
+        raise ValueError(f"max_radius must be >= box_radius, got {max_radius} < {box_radius}")
     a, b, c = params3.abc
     cubic = cubic_report(a, b, c)
     alpha = cubic.alpha_q
@@ -457,8 +437,6 @@ def certify_drift(
         radius = min(2 * radius, max_radius)
     return DriftCertificate(
         cubic=cubic,
-        alpha=alpha,
-        epsilon=eps,
         report=scan_violations(params3, alpha, eps, radius),
         small_set=verify_small_set(params3, radius) if b < 0.0 else None,
         q_max_on_octant=q_form_negativity_check(params3, alpha, Q_GRID_DENSITY),

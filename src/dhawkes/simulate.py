@@ -333,17 +333,10 @@ def detect_alternation(trajectory: list[int]) -> int | None:
     if n < 4:
         raise ValueError(f"trajectory must have length >= 4, got {n}")
 
-    # even_ok[t] == True iff positions t, t+2, t+4, ... are all zero.
-    zero = [v == 0 for v in trajectory]
-    pos = [v > 0 for v in trajectory]
-    even_zero = [False] * (n + 2)
-    even_pos = [False] * (n + 2)
-    even_zero[n] = even_zero[n + 1] = True
-    even_pos[n] = even_pos[n + 1] = True
-    for t in range(n - 1, -1, -1):
-        even_zero[t] = zero[t] and even_zero[t + 2]
-        even_pos[t] = pos[t] and even_pos[t + 2]
-    for t in range(0, n - 3):
-        if (even_zero[t] and even_pos[t + 1]) or (even_pos[t] and even_zero[t + 1]):
-            return t
-    return None
+    # Walk back from the end while each adjacent pair is (zero, positive) or
+    # (positive, zero); t is then the start of the longest alternating tail.
+    x = trajectory
+    t = n - 1
+    while t > 0 and ((x[t - 1] == 0 and x[t] > 0) or (x[t - 1] > 0 and x[t] == 0)):
+        t -= 1
+    return t if t <= n - 4 else None

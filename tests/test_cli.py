@@ -331,6 +331,15 @@ def test_drift_no_clean_shell_exits_4(capsys):
     assert err.splitlines() == ["no epsilon in the grid yields a clean shell up to radius 5"]
 
 
+def test_drift_max_radius_below_radius_exits_2(capsys):
+    # the cap would be silently ignored whenever the first shell is clean
+    argv = ["drift", "-a", "2.5", "-b", "-1", "-c", "-3", "--radius", "50", "--max-radius", "10"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out.startswith("disc=")
+    assert err.startswith("error:") and "max_radius" in err
+
+
 def test_drift_inapplicable_exits_2(capsys):
     code, _, err = run(["drift", "-a", "0", "-b", "3", "-c", "0.5", "--radius", "10"], capsys)
     assert code == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from dhawkes.cubic import (
     alpha_q,
@@ -109,6 +110,43 @@ def test_alpha_q_exact_cube():
 
 def test_alpha_q_vanishes_with_c():
     assert alpha_q(1.0, -1.0, -1e-8) < 1e-6
+
+
+def _random_alpha_q_points(rng, n):
+    """n random points with an alpha_q: |a| up to 30, and a third with c -> 0-."""
+    points = []
+    while len(points) < n:
+        a, b = rng.uniform(-30, 30), rng.uniform(-10, 10)
+        c = -(10.0 ** rng.uniform(-12, -3)) if len(points) % 3 == 0 else rng.uniform(-50, 0)
+        if cubic_report(a, b, c).alpha_q is not None:
+            points.append((a, b, c))
+    return points
+
+
+def test_alpha_q_matches_brentq_oracle():
+    # an independent solver: sign-change bracketing of Q itself on [0, Cauchy bound]
+    rng = np.random.default_rng(17)
+    for a, b, c in _random_alpha_q_points(rng, 1200):
+        hi = 1.0 + abs(a) + abs(b) + abs(c)
+        oracle = brentq(lambda x: q_eval(a, b, c, x), 0.0, hi, xtol=1e-300, rtol=8.9e-16)
+        aq = alpha_q(a, b, c)
+        assert abs(aq - oracle) <= 1e-14 * oracle, (a, b, c, aq, oracle)
+
+
+def test_alpha_q_is_minus_the_real_root():
+    rng = np.random.default_rng(18)
+    points = _random_alpha_q_points(rng, 300) + [
+        tuple(x) for x in rng.uniform(-5, 5, size=(300, 3))
+    ]
+    seen = 0
+    for a, b, c in points:
+        rep = cubic_report(a, b, c)
+        if rep.alpha_q is None:
+            continue
+        assert rep.alpha_q == -rep.real_roots[0]
+        assert rep.alpha_q == alpha_q(a, b, c)
+        seen += 1
+    assert seen >= 300
 
 
 def test_alpha_q_preconditions():

@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from dhawkes.cubic import alpha_q, boundary_band, cubic_report, discriminant, k_of_alpha, r_of_alpha
+from dhawkes.cubic import (
+    alpha_q,
+    boundary_band,
+    cubic_report,
+    discriminant,
+    k_of_alpha,
+    m_alpha,
+    r_of_alpha,
+)
 from dhawkes.drift import (
     certify_drift,
     delta_v_alpha,
-    q_form,
     q_form_negativity_check,
     scan_violations,
     small_set_applicable,
@@ -141,8 +148,9 @@ def test_delta_v_alpha_matches_truncated_expectation():
 def test_q_form_on_basis_vectors():
     a, b, c = 2.5, -1.0, -3.0
     aq = alpha_q(a, b, c)
-    assert q_form(a, b, c, aq, 1.0, 0.0, 0.0) == -1.0
-    assert q_form(a, b, c, aq, 0.0, 0.0, 1.0) == pytest.approx(c * aq)
+    m = m_alpha(a, b, c, aq)
+    assert np.array([1.0, 0.0, 0.0]) @ m @ np.array([1.0, 0.0, 0.0]) == -1.0
+    assert np.array([0.0, 0.0, 1.0]) @ m @ np.array([0.0, 0.0, 1.0]) == pytest.approx(c * aq)
 
 
 def test_q_form_gauss_reduction_identity():
@@ -168,7 +176,8 @@ def test_q_form_gauss_reduction_identity():
             - r * (y - k / (2 * r) * z) ** 2
             + det / r * z * z
         )
-        assert q_form(a, b, c, alpha, x, y, z) == pytest.approx(reduced, abs=1e-8)
+        d = np.array([x, y, z])
+        assert d @ m_alpha(a, b, c, alpha) @ d == pytest.approx(reduced, abs=1e-8)
         checked += 1
 
 
@@ -177,6 +186,38 @@ def test_q_negativity_check_at_reference_point():
     aq = alpha_q(2.5, -1.0, -3.0)
     qmax = q_form_negativity_check(params, aq, 19)
     assert qmax < 0.0
+
+
+def _coefficient_form(a, b, c, alpha, x, y, z):
+    """The paper's drift form, written out coefficient by coefficient."""
+    return (
+        -x * x
+        + (b - alpha * alpha) * y * y
+        + c * alpha * z * z
+        + (a - alpha) * x * y
+        + alpha * (a + alpha) * x * z
+        + (c + b * alpha) * y * z
+    )
+
+
+def test_q_negativity_check_matches_coefficient_form():
+    rng = np.random.default_rng(48)
+    checked = 0
+    while checked < 60:
+        a, b, c = rng.uniform(-4, 4), rng.uniform(-4, 2), rng.uniform(-8, -0.01)
+        aq = cubic_report(a, b, c).alpha_q
+        if aq is None:
+            continue
+        density = int(rng.integers(1, 25))
+        expected = -math.inf
+        for m1 in range(density + 1):
+            for m2 in range(density + 1 - m1):
+                m3 = density - m1 - m2
+                x, y, z = np.array([m1, m2, m3]) / math.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
+                expected = max(expected, _coefficient_form(a, b, c, aq, x, y, z))
+        got = q_form_negativity_check(Params.p3(a, b, c), aq, density)
+        assert abs(got - expected) <= 1e-12, (a, b, c, density)
+        checked += 1
 
 
 def test_q_negativity_check_preconditions():
@@ -192,8 +233,8 @@ def test_isotropic_direction_leaves_positive_octant():
     aq = alpha_q(a, b, c)
     r = r_of_alpha(a, b, aq)
     k = k_of_alpha(a, b, c, aq)
-    x_star = (aq * (a + aq) / 2 + k * (a - aq) / (4 * r), k / (2 * r), 1.0)
-    assert abs(q_form(a, b, c, aq, *x_star)) < 1e-8
+    x_star = np.array([aq * (a + aq) / 2 + k * (a - aq) / (4 * r), k / (2 * r), 1.0])
+    assert abs(x_star @ m_alpha(a, b, c, aq) @ x_star) < 1e-8
     assert min(x_star) < 0 < max(x_star)
 
 
@@ -321,7 +362,7 @@ def test_certify_drift_end_to_end():
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
     cert = certify_drift(params, box_radius=60)
     assert cert.complete
-    assert cert.alpha == pytest.approx(0.8126039857637442, abs=1e-10)
+    assert cert.cubic.alpha_q == pytest.approx(0.8126039857637442, abs=1e-10)
     assert cert.report.shell_clean
     assert cert.small_set.verified
     assert cert.q_max_on_octant < 0.0

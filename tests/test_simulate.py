@@ -359,3 +359,32 @@ def test_detect_alternation_requires_four_values():
 def test_detect_alternation_ignores_short_tail():
     # a lone trailing (positive, zero) pair is not a sustained pattern
     assert detect_alternation([2, 3, 4, 5, 6, 0]) is None
+
+
+def _alternation_oracle(x):
+    """detect_alternation's definition, tried at every t in turn."""
+    for t in range(len(x) - 3):
+        even, odd = x[t::2], x[t + 1::2]
+        if (all(v == 0 for v in even) and all(v > 0 for v in odd)) or (
+            all(v > 0 for v in even) and all(v == 0 for v in odd)
+        ):
+            return t
+    return None
+
+
+def test_detect_alternation_matches_brute_force_oracle():
+    rng = np.random.default_rng(31)
+    found = 0
+    for _ in range(5000):
+        n = int(rng.integers(4, 16))
+        # mostly alternating tails, with negative entries and breaks mixed in
+        x = [int(v) for v in rng.choice([-1, 0, 0, 0, 1, 2, 5], size=n)]
+        if rng.random() < 0.5:
+            start = int(rng.integers(0, n))
+            phase = int(rng.integers(0, 2))
+            for t in range(start, n):
+                x[t] = 0 if (t - start + phase) % 2 == 0 else int(rng.integers(1, 9))
+        expected = _alternation_oracle(x)
+        assert detect_alternation(x) == expected, x
+        found += expected is not None
+    assert found > 1000
