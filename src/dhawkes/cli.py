@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import asdict, fields
 
 from .classify import classify, grid_values
-from .cubic import cubic_report
+from .cubic import discriminant
 from .drift import DriftCertificate, certify_drift
 from .experiments import (
     GridCell,
@@ -365,7 +365,7 @@ def cmd_simulate(merged: dict) -> int:
         for n, s in enumerate(traj.states, start=1):
             print(f"{n},{s[0]}")
         dest = "stdout"
-    note = " (explosion threshold crossed)" if traj.exploded else ""
+    note = " (explosion threshold crossed)" if traj.crossed else ""
     print(f"simulate: {len(traj.states)} steps -> {dest}{note}", file=sys.stderr)
     return EXIT_OK
 
@@ -444,7 +444,7 @@ def cmd_gallery(merged: dict) -> int:
 
 def cmd_drift(merged: dict) -> int:
     params = _params3_from(merged)
-    print(f"disc={_fmt(cubic_report(*params.abc).disc)}")
+    print(f"disc={_fmt(discriminant(*params.abc))}")
     try:
         cert = certify_drift(params, box_radius=merged["radius"], max_radius=merged["max_radius"])
     except RuntimeError as e:  # no clean shell up to the doubling cap

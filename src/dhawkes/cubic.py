@@ -33,24 +33,26 @@ def q_eval(a: float, b: float, c: float, x: float) -> float:
 
 
 def discriminant(a: float, b: float, c: float) -> float:
-    """Discriminant of P: a^2 b^2 + 4 b^3 - 4 a^3 c - 18 a b c - 27 c^2."""
-    return a * a * b * b + 4.0 * b**3 - 4.0 * a**3 * c - 18.0 * a * b * c - 27.0 * c * c
+    """Discriminant of P: a^2 b^2 + 4 b^3 - 4 a^3 c - 18 a b c - 27 c^2; ValueError where it overflows."""
+    try:
+        disc = a * a * b * b + 4.0 * b**3 - 4.0 * a**3 * c - 18.0 * a * b * c - 27.0 * c * c
+    except OverflowError:
+        disc = math.inf
+    if not math.isfinite(disc):
+        raise ValueError(f"Disc overflows at (a, b, c) = ({a}, {b}, {c})")
+    return disc
 
 
 def _disc_and_band(a: float, b: float, c: float) -> tuple[float, bool]:
-    """Disc and whether it lies in the boundary band; ValueError where they overflow."""
+    """Disc and whether it lies in the boundary band; ValueError where either overflows."""
+    disc = discriminant(a, b, c)
     try:
-        disc, scale = discriminant(a, b, c), max(1.0, a**4 + b**3 + c**2)
+        scale = max(1.0, a**4 + b**3 + c**2)
     except OverflowError:
-        disc = scale = math.inf
-    if not (math.isfinite(disc) and math.isfinite(scale)):
-        raise ValueError(f"Disc or its band scale overflows at (a, b, c) = ({a}, {b}, {c})")
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"the band scale of Disc overflows at (a, b, c) = ({a}, {b}, {c})")
     return disc, abs(disc) <= BOUNDARY_BAND * scale
-
-
-def boundary_band(a: float, b: float, c: float) -> bool:
-    """True when |Disc| is too close to 0 to sign reliably in doubles."""
-    return _disc_and_band(a, b, c)[1]
 
 
 def c_bounds(a: float, b: float) -> tuple[float, float] | None:
@@ -99,7 +101,13 @@ def _multiple_root_candidates(a: float, b: float, c: float) -> np.ndarray | None
 
 
 def _roots(a: float, b: float, c: float, disc: float, on_band: bool) -> tuple[list[float], float]:
-    """`real_roots` and `spectral_radius` of P from one solve for its three complex roots."""
+    """Real roots of P, ascending, and its spectral radius max |z|, from one solve.
+
+    One real root when Disc < 0, three with multiplicity otherwise; the
+    linear recurrence is stable iff the radius is below 1.  Companion
+    eigenvalues seed a short Newton polish, which avoids the branch-cut
+    trouble of the closed formulas near Disc = 0.
+    """
     roots = _multiple_root_candidates(a, b, c) if on_band else None
     if roots is None:
         roots = np.array([_newton_polish(a, b, c, z, steps=3) for z in np.roots([1.0, -a, -b, -c])])
@@ -112,37 +120,6 @@ def _roots(a: float, b: float, c: float, disc: float, on_band: bool) -> tuple[li
         return [float(z.real)], radius
     out = [_newton_polish(a, b, c, complex(z.real, 0.0), steps=5).real for z in roots]
     return sorted(float(x) for x in out), radius
-
-
-def real_roots(a: float, b: float, c: float) -> list[float]:
-    """Real roots of P, ascending; multiplicity kept when Disc >= 0.
-
-    The count follows the discriminant sign: one root when Disc < 0,
-    three (with multiplicity) otherwise.  Eigenvalues of the companion
-    matrix seed a short Newton polish, which avoids the branch-cut
-    trouble of the closed formulas near Disc = 0.
-    """
-    return _roots(a, b, c, *_disc_and_band(a, b, c))[0]
-
-
-def spectral_radius(a: float, b: float, c: float) -> float:
-    """max |z| over the complex roots of P; < 1 iff the linear recurrence is stable."""
-    return _roots(a, b, c, *_disc_and_band(a, b, c))[1]
-
-
-def alpha_q(a: float, b: float, c: float) -> float:
-    """The unique (positive) real root of Q(X) = X^3 + a X^2 - b X + c.
-
-    Requires Disc(P) < 0 (so Q has exactly one real root) and c < 0 (so
-    Q(0) < 0 and the root is positive).  As Q(X) = -P(-X), it is minus
-    P's real root, read from the same solve as `real_roots`.
-    """
-    disc = discriminant(a, b, c)
-    if not disc < 0.0:
-        raise ValueError(f"alpha_q requires Disc < 0, got Disc={disc}")
-    if not c < 0.0:
-        raise ValueError(f"alpha_q requires c < 0, got c={c}")
-    return -_roots(a, b, c, disc, False)[0][0]
 
 
 def r_of_alpha(a: float, b: float, alpha: float) -> float:
@@ -211,8 +188,8 @@ class CubicReport:
 def cubic_report(a: float, b: float, c: float) -> CubicReport:
     """Assemble a CubicReport, solving for Disc, band and roots once.
 
-    alpha_q fields only when Disc < 0 and c < 0, off the band; ValueError
-    where Disc overflows.
+    alpha_q is the one premise gate of the V_alpha drift: it is set only
+    when Disc < 0 and c < 0, off the band.  ValueError where Disc overflows.
     """
     for name, v in (("a", a), ("b", b), ("c", c)):
         if not math.isfinite(v):

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import CubicReport, cubic_report, det_m_alpha_identity_check, discriminant, m_alpha
+from .cubic import CubicReport, cubic_report, det_m_alpha_identity_check, m_alpha
 from .model import Params, State, check_state, intensity
 
 MAX_RECORDED_VIOLATIONS = 100_000
-Q_GRID_DENSITY = 19  # grid_density of the certificate's q_form_negativity_check
+Q_GRID_DENSITY = 19  # q_form_negativity_check's directions: compositions of 19 (210 of them)
 EPSILONS = tuple(2.0**-k for k in range(1, 21))  # the certificate's epsilon grid, largest first
 
 
@@ -71,11 +71,14 @@ def linear_weights(params: Params) -> list[float]:
     Requires the positive parts to sum below 1.  alpha_1 = 1 always, and
     each weight lies in (0, 1].
     """
-    plus = [max(x, 0.0) for x in params.coeffs]
+    return _weights_from([max(x, 0.0) for x in params.coeffs])
+
+
+def _weights_from(plus: list[float]) -> list[float]:
     eta = 1.0 - sum(plus)
     if eta <= 0.0:
         raise ValueError(f"positive parts must sum below 1, got {sum(plus)}")
-    p = params.p
+    p = len(plus)
     tails = [sum(plus[i:]) for i in range(p)]
     return [eta * (p - i) / p + tails[i] for i in range(p)]
 
@@ -87,11 +90,16 @@ def linear_drift_coeffs(params: Params, epsilon: float) -> list[float]:
     all are strictly negative iff eps < eta/p, which is what makes the
     violation set finite.
     """
-    alphas = linear_weights(params) + [0.0]
+    return _linear_coeffs(params, epsilon)[1]
+
+
+def _linear_coeffs(params: Params, epsilon: float) -> tuple[list[float], list[float], list[float]]:
+    """Positive parts, then the bound and the exact coefficients of x_i, from one set of weights."""
     plus = [max(x, 0.0) for x in params.coeffs]
-    return [
-        plus[i] + alphas[i + 1] + alphas[i] * (epsilon - 1.0) for i in range(params.p)
-    ]
+    alphas = _weights_from(plus) + [0.0]
+    bound = [plus[i] + alphas[i + 1] + alphas[i] * (epsilon - 1.0) for i in range(params.p)]
+    exact = [alphas[i + 1] + alphas[i] * (epsilon - 1.0) for i in range(params.p)]
+    return plus, bound, exact
 
 
 def linear_delta_v(params: Params, state: State, epsilon: float) -> float:
@@ -123,17 +131,12 @@ def linear_drift_scan(params: Params, epsilon: float, box_radius: int) -> DriftR
     """
     if box_radius < 0:
         raise ValueError(f"box_radius must be >= 0, got {box_radius}")
-    bound_coeffs = linear_drift_coeffs(params, epsilon)
+    plus, bound_coeffs, exact_coeffs = _linear_coeffs(params, epsilon)
     if any(cb >= 0.0 for cb in bound_coeffs):
-        plus = [max(x, 0.0) for x in params.coeffs]
         eta = 1.0 - sum(plus)
         raise ValueError(
             f"epsilon={epsilon} too large: need epsilon < eta/p = {eta / params.p}"
         )
-    alphas = linear_weights(params) + [0.0]
-    exact_coeffs = [
-        alphas[i + 1] + alphas[i] * (epsilon - 1.0) for i in range(params.p)
-    ]
     budget = epsilon + params.lam
     coeffs = params.coeffs
     lam = params.lam
@@ -214,23 +217,21 @@ def delta_v_alpha(params3: Params, alpha: float, state: State) -> float:
     return (s + alpha * i) / (i + alpha * j + 1.0) - (i + alpha * j) / (j + alpha * k + 1.0)
 
 
-def q_form_negativity_check(params3: Params, alpha: float, grid_density: int) -> float:
-    """Max of the drift form d^T M_alpha d over unit directions d of the positive octant.
+def q_form_negativity_check(cubic: CubicReport) -> float:
+    """Max of the drift form d^T M_alpha d at alpha_q over unit directions d of the positive octant.
 
     Directions are the normalized integer compositions (m1, m2, m3) of
-    grid_density, which include the three axes.  Wherever alpha_q exists
-    (Disc < 0, c < 0) the maximum at alpha_q should be strictly negative:
-    the isotropic line of the degenerate form leaves the octant.
+    Q_GRID_DENSITY, which include the three axes.  The maximum should be
+    strictly negative: the isotropic line of the degenerate form leaves
+    the octant.  ValueError where the report has no alpha_q.
     """
-    if grid_density < 1:
-        raise ValueError(f"grid_density must be >= 1, got {grid_density}")
-    a, b, c = params3.abc
-    if not (discriminant(a, b, c) < 0.0 and c < 0.0):
-        raise ValueError("negativity check requires Disc < 0 and c < 0")
-    d = grid_density
+    if cubic.alpha_q is None:
+        raise ValueError("negativity check requires Disc < 0 and c < 0, off the Disc = 0 band")
+    d = Q_GRID_DENSITY
     m = np.array([(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)], float)
     u = m / np.sqrt((m * m).sum(axis=1))[:, None]
-    return float(np.einsum("ni,ij,nj->n", u, m_alpha(a, b, c, alpha), u).max())
+    form = m_alpha(cubic.a, cubic.b, cubic.c, cubic.alpha_q)
+    return float(np.einsum("ni,ij,nj->n", u, form, u).max())
 
 
 def _drift_terms(params3: Params, alpha: float, i, j, k):
@@ -419,7 +420,8 @@ def certify_drift(
     Epsilon is the largest value of EPSILONS whose boundary shell is
     violation-free; when none is, the box is doubled, up to max_radius.
     The cube is then scanned once at the chosen epsilon and radius.
-    ValueError when box_radius < 1 or max_radius < box_radius.
+    ValueError when box_radius < 1, max_radius < box_radius, or the
+    point's cubic_report has no alpha_q.
     """
     if box_radius < 1:
         raise ValueError(f"box_radius must be >= 1, got {box_radius}")
@@ -439,6 +441,6 @@ def certify_drift(
         cubic=cubic,
         report=scan_violations(params3, alpha, eps, radius),
         small_set=verify_small_set(params3, radius) if b < 0.0 else None,
-        q_max_on_octant=q_form_negativity_check(params3, alpha, Q_GRID_DENSITY),
+        q_max_on_octant=q_form_negativity_check(cubic),
         det_identity_residual=det_m_alpha_identity_check(a, b, c, alpha),
     )

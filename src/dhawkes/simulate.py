@@ -88,10 +88,10 @@ class ExcursionOutcome:
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    """Post-initial states; `exploded` flags a count above the threshold, where the run stops."""
+    """Post-initial states; `crossed` flags a count above the threshold, where the run stops."""
 
     states: list[State]
-    exploded: bool
+    crossed: bool
 
 
 def replica_rng(master_seed: int, replica_index: int) -> Generator:

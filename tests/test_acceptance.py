@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dhawkes.classify import Verdict, classify
-from dhawkes.cubic import alpha_q, det_m_alpha_identity_check, discriminant
+from dhawkes.cubic import cubic_report, det_m_alpha_identity_check, discriminant
 from dhawkes.drift import (
     certify_drift,
     delta_v_alpha,
@@ -193,12 +193,12 @@ def test_criterion_06_alternation_pattern():
 def test_criterion_07_drift_verification_inhibition():
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
     a, b, c = params.abc
-    aq = alpha_q(a, b, c)
-    assert det_m_alpha_identity_check(a, b, c, aq) < 1e-8
+    rep = cubic_report(a, b, c)
+    assert det_m_alpha_identity_check(a, b, c, rep.alpha_q) < 1e-8
     cert = certify_drift(params, box_radius=200)
     assert cert.cubic.r_at_alpha_q > 0.0
     assert cert.cubic.k_at_alpha_q < 0.0
-    qmax = q_form_negativity_check(params, aq, 19)  # 210 octant directions
+    qmax = q_form_negativity_check(rep)  # 210 octant directions
     assert qmax < 0.0
     assert cert.report.box_radius == 200
     assert cert.report.shell_clean
@@ -271,7 +271,7 @@ def test_criterion_09_property_suites():
         c = rng.uniform(-5, 0)
         if b == 0.0 or c == 0.0 or not discriminant(a, b, c) < -1e-9:
             continue
-        aq = alpha_q(a, b, c)
+        aq = cubic_report(a, b, c).alpha_q
         assert r_of_alpha(a, b, aq) > 0.0, (a, b, c)
         assert k_of_alpha(a, b, c, aq) < 0.0, (a, b, c)
         checked += 1
@@ -334,7 +334,7 @@ def test_criterion_11_linear_case_dichotomy():
     params = Params(p=2, coeffs=(0.6, 0.6), lam=1.0)
     cfg = SimConfig(master_seed=MASTER_SEED, explosion_threshold_m=10**6)
     grown = sum(
-        run_trajectory(params, cfg, 200, rep).exploded for rep in range(100)
+        run_trajectory(params, cfg, 200, rep).crossed for rep in range(100)
     )
     assert grown >= 95, f"only {grown}/100 runs crossed 1e6"
     report(11, "memory-2 linear dichotomy: stationary mean and exponential growth")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from dhawkes import cubic
 from dhawkes.cli import build_parser, main, write_csv
 from dhawkes.experiments import SweepSpec, sweep_explosion
 from dhawkes.simulate import SimConfig
@@ -294,6 +295,15 @@ def test_drift_certificate(capsys):
     assert "small_set_verified=True" in out
     assert "shell_clean=True" in out
     assert "alpha_q=0.8126039858" in out
+
+
+def test_drift_solves_the_cubic_once(monkeypatch, capsys):
+    solves = []
+    solve = cubic._roots
+    monkeypatch.setattr(cubic, "_roots", lambda *args: solves.append(args) or solve(*args))
+    code, _, _ = run(["drift", "-a", "2.5", "-b", "-1", "-c", "-3", "--radius", "50"], capsys)
+    assert code == 0
+    assert len(solves) == 1
 
 
 def test_drift_exploratory_scan(capsys):

@@ -3,9 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from dhawkes.cubic import (
-    alpha_q,
     b_star,
-    boundary_band,
     c_bounds,
     cubic_report,
     det_m_alpha_identity_check,
@@ -15,8 +13,6 @@ from dhawkes.cubic import (
     p_eval,
     q_eval,
     r_of_alpha,
-    real_roots,
-    spectral_radius,
 )
 
 
@@ -63,25 +59,25 @@ def test_c_bounds_ordering_random():
 
 
 def test_real_roots_triple_zero():
-    assert real_roots(0.0, 0.0, 0.0) == pytest.approx([0.0, 0.0, 0.0], abs=1e-10)
+    assert cubic_report(0.0, 0.0, 0.0).real_roots == pytest.approx((0.0, 0.0, 0.0), abs=1e-10)
 
 
 def test_real_roots_unique_when_disc_negative():
-    roots = real_roots(2.5, -1.0, -3.0)
-    assert len(roots) == 1
+    rep = cubic_report(2.5, -1.0, -3.0)
+    assert len(rep.real_roots) == 1
     # the single real root of P is the negated positive root of the mirror cubic
-    assert roots[0] == pytest.approx(-alpha_q(2.5, -1.0, -3.0), abs=1e-10)
+    assert rep.real_roots[0] == pytest.approx(-rep.alpha_q, abs=1e-10)
 
 
 def test_real_roots_cube():
-    assert real_roots(0.0, 0.0, 1.0) == pytest.approx([1.0], abs=1e-12)
+    assert cubic_report(0.0, 0.0, 1.0).real_roots == pytest.approx((1.0,), abs=1e-12)
 
 
 def test_real_roots_residuals_random():
     rng = np.random.default_rng(5)
     for _ in range(300):
         a, b, c = rng.uniform(-5, 5, size=3)
-        for r in real_roots(a, b, c):
+        for r in cubic_report(a, b, c).real_roots:
             assert abs(p_eval(a, b, c, r)) < 1e-8 * (1.0 + abs(r) ** 3)
 
 
@@ -89,27 +85,28 @@ def test_root_count_matches_disc_sign():
     rng = np.random.default_rng(6)
     for _ in range(500):
         a, b, c = rng.uniform(-5, 5, size=3)
-        if boundary_band(a, b, c):
+        rep = cubic_report(a, b, c)
+        if rep.on_boundary:
             continue
-        n = len(real_roots(a, b, c))
-        if discriminant(a, b, c) < 0:
+        n = len(rep.real_roots)
+        if rep.disc < 0:
             assert n == 1
         else:
             assert n == 3
 
 
 def test_alpha_q_reference_point():
-    aq = alpha_q(2.5, -1.0, -3.0)
+    aq = cubic_report(2.5, -1.0, -3.0).alpha_q
     assert 0.80 < aq < 0.82
     assert abs(q_eval(2.5, -1.0, -3.0, aq)) < 1e-10
 
 
 def test_alpha_q_exact_cube():
-    assert alpha_q(0.0, 0.0, -8.0) == pytest.approx(2.0, abs=1e-12)
+    assert cubic_report(0.0, 0.0, -8.0).alpha_q == pytest.approx(2.0, abs=1e-12)
 
 
 def test_alpha_q_vanishes_with_c():
-    assert alpha_q(1.0, -1.0, -1e-8) < 1e-6
+    assert cubic_report(1.0, -1.0, -1e-8).alpha_q < 1e-6
 
 
 def _random_alpha_q_points(rng, n):
@@ -129,7 +126,7 @@ def test_alpha_q_matches_brentq_oracle():
     for a, b, c in _random_alpha_q_points(rng, 1200):
         hi = 1.0 + abs(a) + abs(b) + abs(c)
         oracle = brentq(lambda x: q_eval(a, b, c, x), 0.0, hi, xtol=1e-300, rtol=8.9e-16)
-        aq = alpha_q(a, b, c)
+        aq = cubic_report(a, b, c).alpha_q
         assert abs(aq - oracle) <= 1e-14 * oracle, (a, b, c, aq, oracle)
 
 
@@ -144,37 +141,34 @@ def test_alpha_q_is_minus_the_real_root():
         if rep.alpha_q is None:
             continue
         assert rep.alpha_q == -rep.real_roots[0]
-        assert rep.alpha_q == alpha_q(a, b, c)
         seen += 1
     assert seen >= 300
 
 
 def test_alpha_q_preconditions():
-    with pytest.raises(ValueError):
-        alpha_q(0.0, 3.0, -1.0)  # Disc > 0
-    with pytest.raises(ValueError):
-        alpha_q(2.5, -1.0, 3.0)  # c > 0
+    assert cubic_report(0.0, 3.0, -1.0).alpha_q is None  # Disc > 0
+    assert cubic_report(2.5, -1.0, 3.0).alpha_q is None  # c > 0
 
 
 def test_r_of_alpha_values():
     assert r_of_alpha(0.0, 0.0, 0.0) == 0.0
     assert r_of_alpha(0.0, -1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
-    aq = alpha_q(2.5, -1.0, -3.0)
+    aq = cubic_report(2.5, -1.0, -3.0).alpha_q
     assert r_of_alpha(2.5, -1.0, aq) > 0.0
 
 
 def test_k_of_alpha_values():
     assert k_of_alpha(1.5, 2.5, -0.75, 0.0) == -0.75
     assert k_of_alpha(0.0, 0.0, -1.0, 1.0) == pytest.approx(-1.5, abs=1e-15)
-    aq = alpha_q(2.5, -1.0, -3.0)
+    aq = cubic_report(2.5, -1.0, -3.0).alpha_q
     assert k_of_alpha(2.5, -1.0, -3.0, aq) < 0.0
 
 
 def test_spectral_radius_examples():
-    assert spectral_radius(0.0, 0.0, 0.0) == 0.0
-    assert spectral_radius(0.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert cubic_report(0.0, 0.0, 0.0).spectral_radius == 0.0
+    assert cubic_report(0.0, 0.0, 1.0).spectral_radius == pytest.approx(1.0, abs=1e-10)
     # stable linear recurrence: coefficients sum to 0.9 < 1
-    rho = spectral_radius(0.3, 0.3, 0.3)
+    rho = cubic_report(0.3, 0.3, 0.3).spectral_radius
     assert rho < 1.0
     assert rho == pytest.approx(0.9491145586273801, abs=1e-8)
 
@@ -184,7 +178,7 @@ def test_spectral_radius_matches_companion_oracle():
     for _ in range(200):
         a, b, c = rng.uniform(-4, 4, size=3)
         oracle = max(abs(np.roots([1.0, -a, -b, -c])))
-        assert spectral_radius(a, b, c) == pytest.approx(oracle, abs=1e-8)
+        assert cubic_report(a, b, c).spectral_radius == pytest.approx(oracle, abs=1e-8)
 
 
 def test_b_star_branches():
@@ -209,7 +203,7 @@ def test_det_identity_random():
 
 def test_det_vanishes_at_alpha_q():
     for a, b, c in [(2.5, -1.0, -3.0), (3.0, -2.0, -10.0), (0.5, -0.5, -0.25)]:
-        aq = alpha_q(a, b, c)
+        aq = cubic_report(a, b, c).alpha_q
         det = float(np.linalg.det(m_alpha(a, b, c, aq)))
         assert abs(det) < 1e-8
 
@@ -226,7 +220,7 @@ def test_sign_partition_small_sample():
     checked = 0
     while checked < 2000:
         a, b, c = rng.uniform(-5, 5, size=3)
-        if a * a + 3 * b < 0 or boundary_band(a, b, c):
+        if a * a + 3 * b < 0 or cubic_report(a, b, c).on_boundary:
             continue
         cm, cp = c_bounds(a, b)
         outside = c < cm or c > cp
@@ -251,9 +245,6 @@ def test_cubic_report_fields():
 )
 def test_cubic_report_matches_public_functions(a, b, c):
     rep = cubic_report(a, b, c)
-    assert rep.on_boundary == boundary_band(a, b, c)
-    assert rep.real_roots == tuple(real_roots(a, b, c))
-    assert rep.spectral_radius == spectral_radius(a, b, c)
     assert rep.disc == discriminant(a, b, c)
 
 
@@ -269,3 +260,13 @@ def test_band_points_are_on_boundary():
 def test_cubic_report_overflow_raises_value_error(a, b, c):
     with pytest.raises(ValueError, match="overflows"):
         cubic_report(a, b, c)
+
+
+def test_discriminant_overflow_raises_value_error():
+    for a, b, c in [(1e300, 0.0, 0.0), (1e120, -1.0, -1.0), (1.0, 1e200, 1.0)]:
+        with pytest.raises(ValueError, match="Disc overflows"):
+            discriminant(a, b, c)
+    # Disc itself is finite here; only the band scale a^4 overflows
+    assert discriminant(1e80, -1.0, -3.0) == pytest.approx(1.2e241, rel=1e-12)
+    with pytest.raises(ValueError, match="band scale"):
+        cubic_report(1e80, -1.0, -3.0)

@@ -1,18 +1,18 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
 from dhawkes.cubic import (
-    alpha_q,
-    boundary_band,
+    c_bounds,
     cubic_report,
-    discriminant,
     k_of_alpha,
     m_alpha,
     r_of_alpha,
 )
 from dhawkes.drift import (
+    Q_GRID_DENSITY,
     certify_drift,
     delta_v_alpha,
     q_form_negativity_check,
@@ -126,14 +126,14 @@ def test_v_alpha_bounded_on_cleared_states():
 
 def test_delta_v_alpha_zero_state_is_lam():
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
-    aq = alpha_q(2.5, -1.0, -3.0)
+    aq = cubic_report(2.5, -1.0, -3.0).alpha_q
     assert delta_v_alpha(params, aq, (0, 0, 0)) == pytest.approx(params.lam)
 
 
 def test_delta_v_alpha_matches_truncated_expectation():
     rng = np.random.default_rng(44)
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
-    aq = alpha_q(2.5, -1.0, -3.0)
+    aq = cubic_report(2.5, -1.0, -3.0).alpha_q
     for _ in range(50):
         state = tuple(int(v) for v in rng.integers(0, 25, size=3))
         s = intensity(params, state)
@@ -147,7 +147,7 @@ def test_delta_v_alpha_matches_truncated_expectation():
 
 def test_q_form_on_basis_vectors():
     a, b, c = 2.5, -1.0, -3.0
-    aq = alpha_q(a, b, c)
+    aq = cubic_report(a, b, c).alpha_q
     m = m_alpha(a, b, c, aq)
     assert np.array([1.0, 0.0, 0.0]) @ m @ np.array([1.0, 0.0, 0.0]) == -1.0
     assert np.array([0.0, 0.0, 1.0]) @ m @ np.array([0.0, 0.0, 1.0]) == pytest.approx(c * aq)
@@ -182,9 +182,7 @@ def test_q_form_gauss_reduction_identity():
 
 
 def test_q_negativity_check_at_reference_point():
-    params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
-    aq = alpha_q(2.5, -1.0, -3.0)
-    qmax = q_form_negativity_check(params, aq, 19)
+    qmax = q_form_negativity_check(cubic_report(2.5, -1.0, -3.0))
     assert qmax < 0.0
 
 
@@ -205,32 +203,64 @@ def test_q_negativity_check_matches_coefficient_form():
     checked = 0
     while checked < 60:
         a, b, c = rng.uniform(-4, 4), rng.uniform(-4, 2), rng.uniform(-8, -0.01)
-        aq = cubic_report(a, b, c).alpha_q
-        if aq is None:
+        rep = cubic_report(a, b, c)
+        if rep.alpha_q is None:
             continue
-        density = int(rng.integers(1, 25))
+        d = Q_GRID_DENSITY
         expected = -math.inf
-        for m1 in range(density + 1):
-            for m2 in range(density + 1 - m1):
-                m3 = density - m1 - m2
+        for m1 in range(d + 1):
+            for m2 in range(d + 1 - m1):
+                m3 = d - m1 - m2
                 x, y, z = np.array([m1, m2, m3]) / math.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
-                expected = max(expected, _coefficient_form(a, b, c, aq, x, y, z))
-        got = q_form_negativity_check(Params.p3(a, b, c), aq, density)
-        assert abs(got - expected) <= 1e-12, (a, b, c, density)
+                expected = max(expected, _coefficient_form(a, b, c, rep.alpha_q, x, y, z))
+        assert abs(q_form_negativity_check(rep) - expected) <= 1e-12, (a, b, c)
         checked += 1
+
+
+def test_alpha_q_is_the_one_premise_gate():
+    # the q-form check and certify_drift refuse exactly where the report has
+    # no alpha_q: on the Disc = 0 band, where Disc >= 0, and where c >= 0
+    rng = np.random.default_rng(49)
+    points = [(3.0, 0.5, -5.020288049381336)]  # Disc = -6.8e-11, inside the band
+    while len(points) < 601:
+        a, b = rng.uniform(-5, 5), rng.uniform(-5, 5)
+        bounds = c_bounds(a, b)
+        if len(points) % 2 and bounds is not None:  # on the Disc = 0 surface, give or take an ulp
+            c = bounds[int(rng.integers(2))] * (1.0 + rng.uniform(-4e-16, 4e-16))
+        else:
+            c = rng.uniform(-5, 5)
+        points.append((a, b, c))
+    refused = band_with_negative_disc = 0
+    for a, b, c in points:
+        rep = cubic_report(a, b, c)
+        gate = rep.alpha_q is None
+        refused += gate
+        band_with_negative_disc += gate and rep.disc < 0.0 and c < 0.0
+        with pytest.raises(ValueError) if gate else contextlib.nullcontext():
+            q_form_negativity_check(rep)
+        try:
+            certify_drift(Params.p3(a, b, c), box_radius=1, max_radius=1)
+            raised = False
+        except ValueError:
+            raised = True
+        except RuntimeError:  # premise accepted, no clean shell at radius 1
+            raised = False
+        assert raised == gate, (a, b, c)
+    # both outcomes occur, and so do band points a bare Disc < 0, c < 0 test would pass
+    assert min(refused, len(points) - refused) >= 100 and band_with_negative_disc >= 20
 
 
 def test_q_negativity_check_preconditions():
     with pytest.raises(ValueError):
-        q_form_negativity_check(Params.p3(0.0, 3.0, 0.5), 1.0, 10)  # c > 0
+        q_form_negativity_check(cubic_report(0.0, 3.0, 0.5))  # c > 0
     # b > 0 is allowed wherever alpha_q exists (Disc < 0, c < 0)
-    qmax = q_form_negativity_check(Params.p3(0.5, 0.5, -0.5), alpha_q(0.5, 0.5, -0.5), 10)
+    qmax = q_form_negativity_check(cubic_report(0.5, 0.5, -0.5))
     assert math.isfinite(qmax)
 
 
 def test_isotropic_direction_leaves_positive_octant():
     a, b, c = 2.5, -1.0, -3.0
-    aq = alpha_q(a, b, c)
+    aq = cubic_report(a, b, c).alpha_q
     r = r_of_alpha(a, b, aq)
     k = k_of_alpha(a, b, c, aq)
     x_star = np.array([aq * (a + aq) / 2 + k * (a - aq) / (4 * r), k / (2 * r), 1.0])
@@ -240,7 +270,7 @@ def test_isotropic_direction_leaves_positive_octant():
 
 def test_scan_violations_reference_point():
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
-    aq = alpha_q(2.5, -1.0, -3.0)
+    aq = cubic_report(2.5, -1.0, -3.0).alpha_q
     report = scan_violations(params, aq, 2.0**-6, 60)
     assert report.shell_clean
     assert 0 < report.violations_total < 100
@@ -252,7 +282,7 @@ def test_scan_violations_reference_point():
 
 def test_scan_violations_radius_zero():
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
-    aq = alpha_q(2.5, -1.0, -3.0)
+    aq = cubic_report(2.5, -1.0, -3.0).alpha_q
     report = scan_violations(params, aq, 0.125, 0)
     # only the origin is scanned; it is not clipped and it violates
     assert report.violations_total == 1
@@ -262,7 +292,7 @@ def test_scan_violations_radius_zero():
 
 def test_scan_violations_dirty_shell_flagged():
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
-    aq = alpha_q(2.5, -1.0, -3.0)
+    aq = cubic_report(2.5, -1.0, -3.0).alpha_q
     report = scan_violations(params, aq, 0.5, 40)
     assert not report.shell_clean
 
@@ -288,7 +318,7 @@ def _certified_report(params3, radius, max_radius):
 
 def test_drift_takes_largest_clean_epsilon_of_the_grid():
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
-    aq = alpha_q(2.5, -1.0, -3.0)
+    aq = cubic_report(2.5, -1.0, -3.0).alpha_q
     report = certify_drift(params, box_radius=60, max_radius=60).report
     assert report == scan_violations(params, aq, report.epsilon, 60)
     assert report.shell_clean
@@ -301,11 +331,12 @@ def test_drift_takes_largest_clean_epsilon_of_the_grid():
 def test_drift_none_without_clean_shell():
     # no grid epsilon leaves the radius-5 shell clean, and doubling is capped at 5
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
-    assert _full_cube_search(params, alpha_q(2.5, -1.0, -3.0), 5, 5) is None
+    aq = cubic_report(2.5, -1.0, -3.0).alpha_q
+    assert _full_cube_search(params, aq, 5, 5) is None
     with pytest.raises(RuntimeError, match="radius 5"):
         certify_drift(params, box_radius=5, max_radius=5)
     with pytest.raises(ValueError):
-        scan_violations(params, alpha_q(2.5, -1.0, -3.0), 0.0, 40)
+        scan_violations(params, aq, 0.0, 40)
 
 
 def test_shell_search_matches_full_cube_search_at_random_points():
@@ -329,7 +360,7 @@ def test_shell_search_matches_full_cube_search_at_random_points():
 @pytest.mark.parametrize("abc", [(3.0, 0.5, -15.0), (3.0, 0.9, -15.0), (2.0, 0.3, -8.0)])
 def test_shell_search_matches_full_cube_search_conjectured_points(abc):
     params = Params.p3(*abc, 1.0)
-    expected = _full_cube_search(params, alpha_q(*abc), 120, 1600)
+    expected = _full_cube_search(params, cubic_report(*abc).alpha_q, 120, 1600)
     assert expected is not None
     assert certify_drift(params, box_radius=120).report == expected
 
@@ -391,7 +422,7 @@ def test_certificates_across_the_inhibition_region():
         a = float(rng.uniform(-3, 3))
         b = float(rng.uniform(-5, -0.2))
         c = float(rng.uniform(-5, -0.2))
-        if not discriminant(a, b, c) < 0 or boundary_band(a, b, c):
+        if cubic_report(a, b, c).alpha_q is None:  # Disc < 0 off the band (c < 0 here)
             continue
         cert = certify_drift(Params.p3(a, b, c, 1.0), box_radius=100, max_radius=400)
         assert cert.complete, (a, b, c)

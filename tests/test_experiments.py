@@ -10,7 +10,7 @@ from dhawkes.experiments import (
     tau_cdf_experiment,
 )
 from dhawkes.classify import classify
-from dhawkes.cubic import discriminant, spectral_radius
+from dhawkes.cubic import cubic_report, discriminant
 from dhawkes.model import Params
 from dhawkes.simulate import ExcursionKind, SimConfig
 
@@ -140,7 +140,7 @@ def test_disc_grid_count_and_order():
         label = classify(Params.p3(cell.a, cell.b, cell.c))
         assert (cell.verdict, cell.rule) == (label.verdict.value, label.rule)
         assert cell.disc == discriminant(cell.a, cell.b, cell.c)
-        assert cell.linear_stable == (spectral_radius(cell.a, cell.b, cell.c) < 1.0)
+        assert cell.linear_stable == (cubic_report(cell.a, cell.b, cell.c).spectral_radius < 1.0)
 
 
 def test_disc_grid_single_cell_matches_pointwise():

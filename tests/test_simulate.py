@@ -290,7 +290,7 @@ def test_run_trajectory_length_one():
     params = Params.p3(0.5, 0.1, 0.1, lam=1.0)
     cfg = SimConfig(master_seed=3)
     traj = run_trajectory(params, cfg, 1, 0)
-    assert len(traj.states) == 1 and not traj.exploded
+    assert len(traj.states) == 1 and not traj.crossed
 
 
 def test_run_trajectory_axis_cycling_pattern():
@@ -309,14 +309,14 @@ def test_run_trajectory_axis_cycling_pattern():
 def test_run_trajectory_flags_explosion():
     params = Params.p3(3.0, 4.0, -15.0, lam=1.0)
     cfg = SimConfig(master_seed=42, explosion_threshold_m=10**6)
-    exploded_any = False
+    crossed_any = False
     for r in range(200):
         traj = run_trajectory(params, cfg, 10_000, r)
-        if traj.exploded:
-            exploded_any = True
+        if traj.crossed:
+            crossed_any = True
             assert traj.states[-1][0] > cfg.explosion_threshold_m
             assert len(traj.states) < 10_000
-    assert exploded_any
+    assert crossed_any
 
 
 def test_stationary_mean_in_linear_regime():
