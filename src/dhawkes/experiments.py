@@ -72,6 +72,7 @@ class SweepSpec:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_jobs(self.jobs)
 
     def params_at(self, value: float) -> Params:
         coeffs = dict(self.fixed)
@@ -89,6 +90,11 @@ class SweepRow:
     mean_tau_returned: float | None
 
 
+def _check_jobs(jobs: int | None) -> None:
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> list[tuple[str, int, int]]:
     params, cfg, start, stop = payload
     out = []
@@ -101,12 +107,16 @@ def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> list[tuple[str, 
 def run_excursions(
     params: Params, cfg: SimConfig, n_replicas: int, jobs: int | None = None
 ) -> list[ExcursionOutcome]:
-    """Outcomes of replicas 0..n-1, bit-identical for any worker count."""
+    """Outcomes of replicas 0..n-1, bit-identical for any worker count.
+
+    jobs=None uses every core.
+    """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+    _check_jobs(jobs)
     if jobs is None:
         jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, n_replicas))
+    jobs = min(jobs, n_replicas)
     if jobs == 1 or n_replicas < 256:
         return [run_excursion(params, cfg, r) for r in range(n_replicas)]
     chunk = max(256, -(-n_replicas // (jobs * 8)))
@@ -196,6 +206,8 @@ def exploding_gallery(
         raise ValueError(f"want must be >= 1, got {want}")
     if prefix_len < 1:
         raise ValueError(f"prefix_len must be >= 1, got {prefix_len}")
+    if replica_cap < 1:
+        raise ValueError(f"replica_cap must be >= 1, got {replica_cap}")
     found: list[int] = []
     scanned = 0
     while scanned < replica_cap and len(found) < want:

@@ -3,7 +3,11 @@
 Every random quantity is a function of (master_seed, replica_index)
 only: each replica draws from its own counter-based Philox stream keyed
 by that pair, so batches can be split across any number of workers in
-any order and still reproduce bit-identically.
+any order and still reproduce bit-identically.  Seed and replica index
+are taken mod 2^64 and used as the two key words exactly.  A Philox
+stream is fixed by its key alone, so each thread keeps one generator and
+rewinds it to the start of a replica's stream instead of building one
+per replica.
 
 An excursion starts from the configured initial state (all zeros by
 default) and ends at the first return to the all-zero state, at a
@@ -30,6 +34,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 from numpy.random import Generator, Philox
@@ -94,15 +99,44 @@ class TrajectoryResult:
     crossed: bool
 
 
+# Per thread, made on its first replica_rng call: `rng`, the thread's one
+# generator, and `start`, the Philox state that rewinds it.  Only the key
+# of `start` changes between replicas; reusing the dict saves building it
+# on every call.
+_THREAD = threading.local()
+
+
 def replica_rng(master_seed: int, replica_index: int) -> Generator:
     """Independent stream for one replica: Philox keyed by (seed, replica).
 
     Distinct key pairs give statistically independent counter-based
-    streams, so no cross-replica coordination is needed.
+    streams, so no cross-replica coordination is needed.  The key words
+    are seed mod 2^64 and replica mod 2^64, set exactly.
+
+    Returns this thread's one generator, rewound to the start of the
+    replica's stream: counter 0 and no buffered output, so it draws what
+    a fresh Generator(Philox(key=...)) with that key draws.  The next call
+    on the same thread rewinds the same generator, so a stream is valid
+    only until then.
     """
     if replica_index < 0:
         raise ValueError(f"replica_index must be >= 0, got {replica_index}")
-    return Generator(Philox(key=[master_seed & _MASK64, replica_index & _MASK64]))
+    try:
+        start = _THREAD.start
+    except AttributeError:  # first call on this thread
+        _THREAD.rng = Generator(Philox(0))
+        start = _THREAD.start = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,  # buffer empty
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    start["state"]["key"] = (master_seed & _MASK64, replica_index & _MASK64)
+    rng = _THREAD.rng
+    rng.bit_generator.state = start
+    return rng
 
 
 def sample_poisson(mean: float, rng: Generator) -> int:

@@ -88,6 +88,41 @@ def test_simulate_max_threshold_follows_burst(capsys):
     assert "explosion threshold crossed" in err
 
 
+def _trajectory(seed, capsys):
+    code, out, err = run(
+        ["simulate", "-a", "3", "-b", "1", "-c", "-15", "--seed", str(seed), "--length", "60"], capsys
+    )
+    assert code == 0, err
+    return out
+
+
+def test_simulate_seeds_keyed_exactly(capsys):
+    # -1 is 2^64 - 1, not 0; seeds above 2^63 keep their low bits
+    assert _trajectory(-1, capsys) != _trajectory(0, capsys)
+    assert _trajectory(2**63 + 5, capsys) != _trajectory(2**63 + 6, capsys)
+    assert _trajectory(-1, capsys) == _trajectory(2**64 - 1, capsys)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_sweep_jobs_below_one_exits_2(jobs, capsys):
+    code, out, err = run(
+        ["sweep", "--fix", "a=3,c=-15", "--sweep", "b=0", "--replicas", "10", "--jobs", jobs], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "jobs must be >= 1" in err
+
+
+def test_gallery_cap_zero_exits_2(tmp_path, capsys):
+    code, out, err = run(
+        ["gallery", "-a", "3", "-b", "4", "-c", "-15", "--cap", "0", "--out", str(tmp_path / "g")],
+        capsys,
+    )
+    assert code == 2
+    assert "replica_cap must be >= 1" in err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_sweep_max_threshold_exits_0(capsys):
     code, out, err = run(
         ["sweep", "--fix", "b=8,c=-121", "--sweep", "a=8", "--threshold", MAX_THRESHOLD,

@@ -37,6 +37,13 @@ def test_spec_validation():
         spec_at([1.0], replicas=0)
 
 
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_run_excursions_rejects_jobs_below_one(jobs):
+    # the CLI's --jobs reaches SweepSpec first; direct API callers reach this check
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_excursions(Params.p3(3.0, 0.0, -15.0, lam=1.0), SimConfig(), 10, jobs=jobs)
+
+
 def test_derive_point_seed_distinct_and_stable():
     seeds = [derive_point_seed(42, i) for i in range(100)]
     assert len(set(seeds)) == 100

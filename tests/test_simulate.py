@@ -1,7 +1,10 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.stats import chi2, poisson
 
 from dhawkes.model import Params
@@ -17,6 +20,65 @@ from dhawkes.simulate import (
     sample_poisson,
     step,
 )
+
+
+_MASK64 = (1 << 64) - 1
+_KEY_WORDS = (0, 1, 2**63 + 5, 2**64 - 1)
+
+
+def _draws(rng):
+    """A mix of draws that uses every part of the bit generator's state."""
+    return (
+        rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist(),
+        rng.standard_normal(3).tolist(),
+        rng.poisson(4.0, size=5).tolist(),
+        rng.integers(0, 2**63, size=2).tolist(),
+    )
+
+
+def _fresh(seed, replica):
+    key = np.array([seed & _MASK64, replica & _MASK64], dtype=np.uint64)
+    return Generator(Philox(key=key))
+
+
+@pytest.mark.parametrize("seed", _KEY_WORDS + (-1,))
+@pytest.mark.parametrize("replica", _KEY_WORDS)
+def test_replica_rng_keys_both_words_exactly(seed, replica):
+    # a key word >= 2^63 next to one below it must not pass through float64
+    assert _draws(replica_rng(seed, replica)) == _draws(_fresh(seed, replica))
+
+
+def test_replica_rng_rejects_negative_replica():
+    with pytest.raises(ValueError):
+        replica_rng(0, -1)
+
+
+def test_replica_rng_rewinds_buffered_state():
+    rng = replica_rng(2**63 + 5, 3)
+    rng.integers(0, 2**32, size=3, dtype=np.uint32)  # odd: half a 64-bit word stays buffered
+    rng.standard_normal()
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == 1 and state["buffer_pos"] != 4
+    for seed, replica in [(7, 0), (2**63 + 5, 3), (-1, 2**64 - 1)]:
+        again = replica_rng(seed, replica)
+        assert again is rng  # one generator per thread, rewound
+        assert _draws(again) == _draws(_fresh(seed, replica))
+
+
+def test_run_excursion_thread_safe():
+    # each thread rewinds its own generator; frequent thread switches make
+    # a generator shared between threads lose its place mid-excursion
+    params = Params.p3(3.0, 1.0, -15.0, lam=1.0)
+    cfg = SimConfig(master_seed=5)
+    serial = [run_excursion(params, cfg, r) for r in range(4000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda r: run_excursion(params, cfg, r), range(4000), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_sample_poisson_zero_mean():
