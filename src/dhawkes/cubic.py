@@ -6,7 +6,9 @@ u_n = a u_{n-1} + b u_{n-2} + c u_{n-3}: discriminant, real roots,
 spectral radius, the sign-flip bounds on c, and the quantities attached
 to the mirror polynomial Q(X) = -P(-X) = X^3 + a X^2 - b X + c that
 drive the ratio Lyapunov construction (its positive root alpha_Q, the
-2x2 minor R, and the off-diagonal reduction term K).
+2x2 minor R, and the off-diagonal reduction term K).  cubic_reports
+works these out for arrays of points in one batched solve, and
+cubic_report is its one-point case.
 """
 
 from __future__ import annotations
@@ -32,27 +34,28 @@ def q_eval(a: float, b: float, c: float, x: float) -> float:
     return ((x + a) * x - b) * x + c
 
 
+def _disc(a, b, c):
+    """Disc of P over floats or arrays, inf or nan where it overflows.
+
+    np.float_power is the libm pow of Python's x**n; np.power may round differently.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            a * a * b * b + 4.0 * np.float_power(b, 3) - 4.0 * np.float_power(a, 3) * c
+            - 18.0 * a * b * c - 27.0 * c * c
+        )
+
+
+def _overflow(what: str, a: float, b: float, c: float) -> ValueError:
+    return ValueError(f"{what} overflows at (a, b, c) = ({a}, {b}, {c})")
+
+
 def discriminant(a: float, b: float, c: float) -> float:
     """Discriminant of P: a^2 b^2 + 4 b^3 - 4 a^3 c - 18 a b c - 27 c^2; ValueError where it overflows."""
-    try:
-        disc = a * a * b * b + 4.0 * b**3 - 4.0 * a**3 * c - 18.0 * a * b * c - 27.0 * c * c
-    except OverflowError:
-        disc = math.inf
+    disc = float(_disc(a, b, c))
     if not math.isfinite(disc):
-        raise ValueError(f"Disc overflows at (a, b, c) = ({a}, {b}, {c})")
+        raise _overflow("Disc", a, b, c)
     return disc
-
-
-def _disc_and_band(a: float, b: float, c: float) -> tuple[float, bool]:
-    """Disc and whether it lies in the boundary band; ValueError where either overflows."""
-    disc = discriminant(a, b, c)
-    try:
-        scale = max(1.0, a**4 + b**3 + c**2)
-    except OverflowError:
-        scale = math.inf
-    if not math.isfinite(scale):
-        raise ValueError(f"the band scale of Disc overflows at (a, b, c) = ({a}, {b}, {c})")
-    return disc, abs(disc) <= BOUNDARY_BAND * scale
 
 
 def c_bounds(a: float, b: float) -> tuple[float, float] | None:
@@ -70,13 +73,57 @@ def c_bounds(a: float, b: float) -> tuple[float, float] | None:
     return c_minus, c_plus
 
 
-def _newton_polish(a: float, b: float, c: float, x: complex, steps: int = 5) -> complex:
-    for _ in range(steps):
-        dp = (3.0 * x - 2.0 * a) * x - b
-        if abs(dp) < 1e-300:
-            break
-        x = x - (((x - a) * x - b) * x - c) / dp
-    return x
+# Complex arithmetic on (real, imag) float arrays, done the way the scalar
+# types do it so that the batched solve rounds exactly as np.roots plus a
+# per-root Newton polish does: a float operand is the complex (x, 0.0),
+# products are (ac - bd, ad + bc), quotients follow Smith's method.  The
+# three quotients differ only in rounding, and each matches one scalar type.
+def _mul(ar, ai, br, bi):
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _smith(ar, ai, br, bi):
+    """Numerators and denominator of Smith's method for (ar + i ai) / (br + i bi)."""
+    big = np.abs(br) >= np.abs(bi)
+    r1, r2 = bi / br, br / bi
+    denom = np.where(big, br + bi * r1, br * r2 + bi)
+    num_re = np.where(big, ar + ai * r1, ar * r2 + ai)
+    num_im = np.where(big, ai - ar * r1, ai * r2 - ar)
+    return num_re, num_im, denom
+
+
+def _quot_python(ar, ai, br, bi):
+    """Python complex division: Smith's numerators over the denominator."""
+    num_re, num_im, denom = _smith(ar, ai, br, bi)
+    return num_re / denom, num_im / denom
+
+
+def _quot_numpy(ar, ai, br, bi):
+    """numpy complex128 division: Smith's numerators times the reciprocal of the denominator."""
+    num_re, num_im, denom = _smith(ar, ai, br, bi)
+    scale = 1.0 / denom
+    return num_re * scale, num_im * scale
+
+
+def _quot_real(ar, ai, br, bi):
+    """float64 division, for roots whose imaginary parts are all zero."""
+    return ar / br, ai
+
+
+def _polish(a, b, c, re, im, steps: int, quot):
+    """Newton steps x <- x - P(x) / P'(x) on complex arrays; a root stops where |P'(x)| < 1e-300."""
+    live = np.ones(re.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # stopped roots and unused branches
+        for _ in range(steps):
+            dr, di = _mul(3.0, 0.0, re, im)
+            dr, di = _mul(dr - 2.0 * a, di, re, im)
+            dr = dr - b
+            live &= ~(np.hypot(dr, di) < 1e-300)
+            pr, pi = _mul(re - a, im, re, im)
+            pr, pi = _mul(pr - b, pi, re, im)
+            qr, qi = quot(pr - c, pi, dr, di)
+            re, im = np.where(live, re - qr, re), np.where(live, im - qi, im)
+    return re, im
 
 
 def _multiple_root_candidates(a: float, b: float, c: float) -> np.ndarray | None:
@@ -100,26 +147,25 @@ def _multiple_root_candidates(a: float, b: float, c: float) -> np.ndarray | None
     return np.array([double, double, simple], dtype=complex)
 
 
-def _roots(a: float, b: float, c: float, disc: float, on_band: bool) -> tuple[list[float], float]:
-    """Real roots of P, ascending, and its spectral radius max |z|, from one solve.
+def _companion_roots(a, b, c):
+    """np.roots([1, -a, -b, -c]) at each point, as (n, 3) real and imaginary parts.
 
-    One real root when Disc < 0, three with multiplicity otherwise; the
-    linear recurrence is stable iff the radius is below 1.  Companion
-    eigenvalues seed a short Newton polish, which avoids the branch-cut
-    trouble of the closed formulas near Disc = 0.
+    One np.linalg.eigvals call per matrix size over the stacked companion
+    matrices, laid out as np.roots lays them out.  np.roots strips a
+    trailing zero coefficient, so where c == 0 it solves the 2x2 companion
+    and appends the root 0; b = c = 0 is on the boundary band and never
+    gets here.  The third array says whether a point's roots are all real,
+    which is when np.roots returns them as float64 rather than complex128.
     """
-    roots = _multiple_root_candidates(a, b, c) if on_band else None
-    if roots is None:
-        roots = np.array([_newton_polish(a, b, c, z, steps=3) for z in np.roots([1.0, -a, -b, -c])])
-    radius = float(max(abs(z) for z in roots))
-    if on_band:
-        return sorted(float(z.real) for z in roots), radius
-    if disc < 0.0:
-        z = min(roots, key=lambda r: abs(r.imag))
-        z = _newton_polish(a, b, c, complex(z.real, 0.0), steps=5)
-        return [float(z.real)], radius
-    out = [_newton_polish(a, b, c, complex(z.real, 0.0), steps=5).real for z in roots]
-    return sorted(float(x) for x in out), radius
+    re, im = np.zeros((len(a), 3)), np.zeros((len(a), 3))
+    for k, sel in ((3, c != 0.0), (2, c == 0.0)):
+        if sel.any():
+            m = np.zeros((np.count_nonzero(sel), k, k))
+            m[:, 0, :] = np.stack((a[sel], b[sel], c[sel])[:k], axis=1)
+            m[:, range(1, k), range(k - 1)] = 1.0
+            w = np.linalg.eigvals(m)
+            re[sel, :k], im[sel, :k] = w.real, w.imag
+    return re, im, (im == 0.0).all(axis=1)
 
 
 def r_of_alpha(a: float, b: float, alpha: float) -> float:
@@ -155,18 +201,14 @@ def det_m_alpha_identity_check(a: float, b: float, c: float, alpha: float) -> fl
     return abs(det - q * q / 4.0)
 
 
-def b_star(a: float) -> float:
-    """Stability frontier of the two-parameter (c = 0) model.
+def b_star(a):
+    """Stability frontier of the two-parameter (c = 0) model, of a float or elementwise over an array.
 
     1 for a <= 0, 1 - a on (0, 2), -a^2/4 for a >= 2 (branches agree at 2).
     Below the curve the memory-2 chain is geometrically ergodic, above it
     transient.
     """
-    if a <= 0.0:
-        return 1.0
-    if a < 2.0:
-        return 1.0 - a
-    return -a * a / 4.0
+    return np.where(a <= 0.0, 1.0, np.where(a < 2.0, 1.0 - a, -a * a / 4.0))[()]
 
 
 @dataclass(frozen=True)
@@ -185,31 +227,118 @@ class CubicReport:
     k_at_alpha_q: float | None
 
 
-def cubic_report(a: float, b: float, c: float) -> CubicReport:
-    """Assemble a CubicReport, solving for Disc, band and roots once.
+def _or_none(x: float) -> float | None:
+    return None if math.isnan(x) else x
 
-    alpha_q is the one premise gate of the V_alpha drift: it is set only
-    when Disc < 0 and c < 0, off the band.  ValueError where Disc overflows.
+
+@dataclass(frozen=True)
+class CubicReports:
+    """The CubicReport fields of n points as arrays; reports[i] is point i's CubicReport.
+
+    real_roots is (n, 3), each row ascending and padded with NaN where
+    there is one real root; NaN in the alpha_q columns marks "not
+    applicable".
     """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    disc: np.ndarray
+    on_boundary: np.ndarray
+    real_roots: np.ndarray
+    spectral_radius: np.ndarray
+    alpha_q: np.ndarray
+    r_at_alpha_q: np.ndarray
+    k_at_alpha_q: np.ndarray
+
+    def __getitem__(self, i: int) -> CubicReport:
+        return CubicReport(
+            a=float(self.a[i]),
+            b=float(self.b[i]),
+            c=float(self.c[i]),
+            disc=float(self.disc[i]),
+            on_boundary=bool(self.on_boundary[i]),
+            real_roots=tuple(x for x in self.real_roots[i].tolist() if not math.isnan(x)),
+            spectral_radius=float(self.spectral_radius[i]),
+            alpha_q=_or_none(float(self.alpha_q[i])),
+            r_at_alpha_q=_or_none(float(self.r_at_alpha_q[i])),
+            k_at_alpha_q=_or_none(float(self.k_at_alpha_q[i])),
+        )
+
+
+def _point_error(a: float, b: float, c: float, disc: float) -> ValueError:
     for name, v in (("a", a), ("b", b), ("c", c)):
         if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-    disc, on_band = _disc_and_band(a, b, c)
-    roots, radius = _roots(a, b, c, disc, on_band)
-    aq = rq = kq = None
-    if disc < 0.0 and c < 0.0 and not on_band:
-        aq = -roots[0]  # Q(X) = -P(-X): alpha_q is minus P's one real root
-        rq = r_of_alpha(a, b, aq)
-        kq = k_of_alpha(a, b, c, aq)
-    return CubicReport(
+            return ValueError(f"{name} must be finite, got {v}")
+    return _overflow("Disc" if not math.isfinite(disc) else "the band scale of Disc", a, b, c)
+
+
+def cubic_reports(a, b, c) -> CubicReports:
+    """The cubic reports of the points (a[i], b[i], c[i]), from one batched solve.
+
+    Disc, the band and the roots are computed for all points at once.  The
+    companion eigenvalues (one np.linalg.eigvals call) are the roots
+    np.roots would return; they get 3 Newton steps in the arithmetic of
+    the type np.roots returns them in, then the real parts get 5 steps in
+    Python complex arithmetic.  On the band, _multiple_root_candidates
+    rebuilds the repeated root instead, point by point.  alpha_q is the
+    one premise gate of the V_alpha drift: it is set only where Disc < 0
+    and c < 0, off the band.  ValueError names the first point whose
+    coefficients are not finite or where Disc or its band scale overflows.
+    """
+    a, b, c = (np.asarray(x, dtype=np.float64) for x in (a, b, c))
+    disc = _disc(a, b, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, np.float_power(a, 4) + np.float_power(b, 3) + np.float_power(c, 2))
+    ok = np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(disc) & np.isfinite(scale)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise _point_error(float(a[i]), float(b[i]), float(c[i]), float(disc[i]))
+    on_band = np.abs(disc) <= BOUNDARY_BAND * scale
+
+    n = len(a)
+    re, im = np.zeros((n, 3)), np.zeros((n, 3))
+    solve = ~on_band
+    for i in np.flatnonzero(on_band):
+        roots = _multiple_root_candidates(float(a[i]), float(b[i]), float(c[i]))
+        if roots is None:
+            solve[i] = True
+        else:
+            re[i] = roots.real
+    re[solve], im[solve], real = _companion_roots(a[solve], b[solve], c[solve])
+    for sel, quot in ((real, _quot_real), (~real, _quot_numpy)):
+        idx = np.flatnonzero(solve)[sel]
+        if idx.size:
+            re[idx], im[idx] = _polish(a[idx, None], b[idx, None], c[idx, None], re[idx], im[idx], 3, quot)
+    radius = np.hypot(re, im).max(axis=1)
+
+    # Where Disc < 0 off the band P has one real root: polish the root
+    # nearest the real axis; elsewhere polish the real part of all three.
+    one = ~on_band & (disc < 0.0)
+    nearest = re[np.arange(n), np.argmin(np.abs(im), axis=1)]
+    start = np.where(one[:, None], nearest[:, None], re)
+    polished, _ = _polish(a[:, None], b[:, None], c[:, None], start, np.zeros_like(start), 5, _quot_python)
+    roots = np.sort(np.where(on_band[:, None], re, polished), axis=1, kind="stable")
+    roots[one, 1:] = np.nan
+
+    aq = np.where(one & (c < 0.0), -roots[:, 0], np.nan)  # Q(X) = -P(-X): minus P's real root
+    return CubicReports(
         a=a,
         b=b,
         c=c,
         disc=disc,
         on_boundary=on_band,
-        real_roots=tuple(roots),
+        real_roots=roots,
         spectral_radius=radius,
         alpha_q=aq,
-        r_at_alpha_q=rq,
-        k_at_alpha_q=kq,
+        r_at_alpha_q=r_of_alpha(a, b, aq),
+        k_at_alpha_q=k_of_alpha(a, b, c, aq),
     )
+
+
+def cubic_report(a: float, b: float, c: float) -> CubicReport:
+    """The CubicReport of one point: the one-element case of cubic_reports.
+
+    ValueError where a coefficient is not finite or Disc overflows.
+    """
+    return cubic_reports([a], [b], [c])[0]

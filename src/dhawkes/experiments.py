@@ -15,7 +15,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from .classify import classify, grid_values
+import numpy as np
+
+from .classify import MAX_GRID_POINTS, classify_p3, grid_count, grid_values
 from .model import Params
 from .simulate import (
     ExcursionKind,
@@ -30,6 +32,9 @@ from .stats import ConfidenceInterval, clopper_pearson, ecdf
 _MASK64 = (1 << 64) - 1
 
 GALLERY_REPLICA_CAP = 10_000_000
+
+# Cells classified per classify_p3 call in disc_grid, which bounds its working memory.
+GRID_CHUNK = 1 << 16
 
 
 def _splitmix64(x: int) -> int:
@@ -247,26 +252,34 @@ def disc_grid(
 ) -> list[GridCell]:
     """Sign of the discriminant, linear stability and fired rule per grid cell.
 
-    Cells are row-major over (a, b, c), c varying fastest; disc and
-    linear stability come from the cubic witness that classify returns.
+    Cells are row-major over (a, b, c), c varying fastest.  Each cell
+    carries classify's label of its point and the disc and linear
+    stability of that label's cubic witness; classify_p3 decides them
+    GRID_CHUNK cells at a time.  ValueError where the grid has more than
+    MAX_GRID_POINTS cells.
     """
-    cells = []
-    for a in a_values:
-        for b in grid_values(*b_range, step):
-            for c in grid_values(*c_range, step):
-                label = classify(Params.p3(a, b, c, lam))
-                d = label.witness.disc
-                cells.append(
-                    GridCell(
-                        a=a,
-                        b=b,
-                        c=c,
-                        disc=d,
-                        disc_sign=(d > 0) - (d < 0),
-                        linear_stable=label.witness.spectral_radius < 1.0,
-                        verdict=label.verdict.value,
-                        rule=label.rule,
-                    )
-                )
+    shape = (len(a_values), grid_count(*b_range, step), grid_count(*c_range, step))
+    n = math.prod(shape)
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {n} cells has more than {MAX_GRID_POINTS}")
+    axes = [np.array(a_values, dtype=np.float64)] + [
+        np.array(grid_values(*r, step)) for r in (b_range, c_range)
+    ]
+    cells: list[GridCell] = []
+    for start in range(0, n, GRID_CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, n)), shape)
+        a, b, c = (axis[i] for axis, i in zip(axes, index))
+        labels = classify_p3(a, b, c, lam)
+        disc = labels.reports.disc.tolist()
+        cells += map(
+            GridCell,
+            a.tolist(),
+            b.tolist(),
+            c.tolist(),
+            disc,
+            [(d > 0) - (d < 0) for d in disc],
+            (labels.reports.spectral_radius < 1.0).tolist(),
+            [v.value for v in labels.verdicts],
+            labels.rules,
+        )
     return cells
-

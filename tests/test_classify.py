@@ -1,7 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from dhawkes.classify import Verdict, classify, grid_values, growth_rule
+from dhawkes.classify import Verdict, classify, classify_p3, grid_values, growth_rule
 from dhawkes.cubic import b_star, c_bounds, discriminant
 from dhawkes.model import Params
 
@@ -164,6 +166,11 @@ def test_grid_values_errors():
         grid_values(2.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         grid_values(0.0, 1.0, 0.0)
+    # more than MAX_GRID_POINTS points, or a count that overflows, is refused before building
+    for start, stop, step in [(0.0, 1.0, 1e-300), (-1e308, 1e308, 1e-300), (0.0, 1.0, 1e-7)]:
+        with pytest.raises(ValueError, match="more than 10000000 points"):
+            grid_values(start, stop, step)
+    assert len(grid_values(0.0, 1.0, 1e-6)) == 1_000_001
 
 
 # one point per verdict with its exact rule text
@@ -199,3 +206,21 @@ def test_rule_texts(p, coeffs, verdict, rule):
 def test_rule_texts_cover_every_verdict():
     covered = {v for _, _, v, _ in RULE_CASES}
     assert covered == set(Verdict)
+
+
+def test_forced_rule_conflict_raises_from_batched_classifier(monkeypatch):
+    # a transient predicate that matches everywhere collides with the ergodic
+    # verdicts at the second and third points; the first is conjectured only,
+    # so there the forced rule simply fires
+    rules_module = importlib.import_module("dhawkes.classify")
+    always = lambda x: np.ones(len(x.pos), dtype=bool)  # noqa: E731
+    rules = tuple(
+        (v, always if v is Verdict.TRANSIENT_AXES else pred, text) for v, pred, text in rules_module._RULES
+    )
+    monkeypatch.setattr(rules_module, "_RULES", rules)
+    first_conflict = r"both match Params\(p=3, coeffs=\(2.5, -1.0, -3.0\), lam=1.0\)"
+    with pytest.raises(RuntimeError, match=first_conflict):
+        classify_p3([3.0, 2.5, 0.5], [0.5, -1.0, 0.3], [-15.0, -3.0, 0.1])
+    with pytest.raises(RuntimeError, match=first_conflict):
+        classify(Params.p3(2.5, -1.0, -3.0))
+    assert classify(Params.p3(3.0, 0.5, -15.0)).verdict is Verdict.TRANSIENT_AXES

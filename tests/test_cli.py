@@ -334,8 +334,8 @@ def test_drift_certificate(capsys):
 
 def test_drift_solves_the_cubic_once(monkeypatch, capsys):
     solves = []
-    solve = cubic._roots
-    monkeypatch.setattr(cubic, "_roots", lambda *args: solves.append(args) or solve(*args))
+    solve = cubic._companion_roots
+    monkeypatch.setattr(cubic, "_companion_roots", lambda *args: solves.append(args) or solve(*args))
     code, _, _ = run(["drift", "-a", "2.5", "-b", "-1", "-c", "-3", "--radius", "50"], capsys)
     assert code == 0
     assert len(solves) == 1
@@ -403,6 +403,28 @@ def test_cubic_overflow_exits_2(argv, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid", "--a-values", "0.5", "--b-range=-1:0", "--c-range=-1:0", "--step", "1e-300"],
+        ["grid", "--a-values", "0.5", "--b-range=-1e308:1e308", "--c-range=-1:0", "--step", "1e-300"],
+        ["sweep", "--fix", "a=3,c=-15", "--sweep", "b=0:1:1e-300"],
+        ["sweep", "--fix", "a=3,c=-15", "--sweep", "b=-1e308:1e308:1e-300"],
+    ],
+    ids=["grid-step", "grid-overflow", "sweep-step", "sweep-overflow"],
+)
+def test_unbounded_range_exits_2(argv, tmp_path, capsys):
+    # these ranges used to hang building their value list, or end in an OverflowError traceback
+    try:
+        code = main(argv + ["--out", str(tmp_path / "out")])
+    except SystemExit as exc:  # argparse rejects a bad --sweep value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "more than 10000000 points" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_grid_command(tmp_path, capsys):

@@ -1,11 +1,18 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from dhawkes.cubic import (
+    BOUNDARY_BAND,
+    CubicReport,
+    _multiple_root_candidates,
     b_star,
     c_bounds,
     cubic_report,
+    cubic_reports,
     det_m_alpha_identity_check,
     discriminant,
     k_of_alpha,
@@ -270,3 +277,79 @@ def test_discriminant_overflow_raises_value_error():
     assert discriminant(1e80, -1.0, -3.0) == pytest.approx(1.2e241, rel=1e-12)
     with pytest.raises(ValueError, match="band scale"):
         cubic_report(1e80, -1.0, -3.0)
+
+
+# The per-point solve that cubic_reports batches, kept as its oracle: np.roots,
+# then Newton steps in the arithmetic of the roots' own types (3 from each
+# eigenvalue, 5 in Python complex from the real part).
+def _oracle_polish(a, b, c, x, steps):
+    for _ in range(steps):
+        dp = (3.0 * x - 2.0 * a) * x - b
+        if abs(dp) < 1e-300:
+            break
+        x = x - (((x - a) * x - b) * x - c) / dp
+    return x
+
+
+def _oracle_report(a, b, c):
+    try:
+        disc = a * a * b * b + 4.0 * b**3 - 4.0 * a**3 * c - 18.0 * a * b * c - 27.0 * c * c
+    except OverflowError:
+        disc = math.inf
+    if not math.isfinite(disc):
+        raise ValueError(f"Disc overflows at (a, b, c) = ({a}, {b}, {c})")
+    try:
+        scale = max(1.0, a**4 + b**3 + c**2)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"the band scale of Disc overflows at (a, b, c) = ({a}, {b}, {c})")
+    on_band = abs(disc) <= BOUNDARY_BAND * scale
+    roots = _multiple_root_candidates(a, b, c) if on_band else None
+    if roots is None:
+        roots = np.array([_oracle_polish(a, b, c, z, 3) for z in np.roots([1.0, -a, -b, -c])])
+    radius = float(max(abs(z) for z in roots))
+    if on_band:
+        real = sorted(float(z.real) for z in roots)
+    elif disc < 0.0:
+        z = min(roots, key=lambda r: abs(r.imag))
+        real = [float(_oracle_polish(a, b, c, complex(z.real, 0.0), 5).real)]
+    else:
+        real = sorted(float(_oracle_polish(a, b, c, complex(z.real, 0.0), 5).real) for z in roots)
+    aq = rq = kq = None
+    if disc < 0.0 and c < 0.0 and not on_band:
+        aq = -real[0]
+        rq = r_of_alpha(a, b, aq)
+        kq = k_of_alpha(a, b, c, aq)
+    return (a, b, c, disc, on_band, tuple(real), radius, aq, rq, kq)
+
+
+_LATTICE = [-3.0 + i * 0.1 for i in range(51)]  # as grid_values(-3, 2, 0.1) spells it
+
+_ORACLE_SETS = {
+    "random": [tuple(float(x) for x in p) for p in np.random.default_rng(21).uniform(-5, 5, size=(10_000, 3))],
+    "lattice": [(a, b, c) for a in (0.5, 1.0, 2.0, 3.0) for b in _LATTICE for c in _LATTICE]
+    + [(a, b, -0.0) for a in (0.5, 1.0, 2.0, 3.0) for b in _LATTICE],
+    "band": [(0.0, 3.0, -2.0), (0.0, 0.0, 0.0), (3.0, 0.5, -5.020288049381336)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_SETS))
+def test_cubic_reports_bitwise_equal_to_per_point_solve(name):
+    # repr tells -0.0 from 0.0 and a Python float from a numpy scalar
+    points = _ORACLE_SETS[name]
+    reports = cubic_reports(*(np.array(col) for col in zip(*points)))
+    for i, point in enumerate(points):
+        got = tuple(getattr(reports[i], f.name) for f in fields(CubicReport))
+        assert repr(got) == repr(_oracle_report(*point)), point
+    if name == "band":
+        assert all(reports[i].on_boundary for i in range(len(points)))
+
+
+@pytest.mark.parametrize("a, b, c", [(1e300, 0.0, 0.0), (1e120, -1.0, -1.0), (1.0, 1e200, 1.0), (1e80, -1.0, -3.0)])
+def test_cubic_reports_overflow_matches_per_point_solve(a, b, c):
+    with pytest.raises(ValueError) as oracle:
+        _oracle_report(a, b, c)
+    with pytest.raises(ValueError) as batch:
+        cubic_reports([0.5, a], [-1.0, b], [-3.0, c])  # the first point is fine
+    assert str(batch.value) == str(oracle.value)

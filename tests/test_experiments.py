@@ -150,6 +150,29 @@ def test_disc_grid_count_and_order():
         assert cell.linear_stable == (cubic_report(cell.a, cell.b, cell.c).spectral_radius < 1.0)
 
 
+def test_disc_grid_cells_match_scalar_classify_on_edge_cells():
+    # exact c = 0 cells, Disc = 0 cells, a Boundary cell and both memory-2 verdicts
+    cells = disc_grid([0.5, 1.0, 3.0], (-1.5, 3.0), (-1.0, 0.5), 0.5)
+    assert len(cells) == 120
+    assert sum(cell.c == 0.0 for cell in cells) == 30
+    assert sum(cell.disc == 0.0 for cell in cells) == 4
+    assert {"Boundary", "ErgodicP2Region", "TransientP2Region"} <= {cell.verdict for cell in cells}
+    assert next(cell for cell in cells if (cell.a, cell.b, cell.c) == (1.0, 1.0, -1.0)).verdict == "Boundary"
+    for cell in cells:
+        label = classify(Params.p3(cell.a, cell.b, cell.c))
+        want = (label.verdict.value, label.rule, label.witness.disc, label.witness.spectral_radius < 1.0)
+        assert (cell.verdict, cell.rule, cell.disc, cell.linear_stable) == want
+        # Python scalars, not numpy ones, so the CSV and JSON writers see what they always saw
+        assert [type(getattr(cell, f)) for f in ("a", "b", "c", "disc", "disc_sign", "linear_stable")] == [
+            float, float, float, float, int, bool
+        ]
+
+
+def test_disc_grid_refuses_more_than_max_grid_points():
+    with pytest.raises(ValueError, match="more than 10000000"):
+        disc_grid([0.5, 1.0], (0.0, 1.0), (0.0, 1.0), 1e-3 / 3)  # 2 * 3001^2 cells
+
+
 def test_disc_grid_single_cell_matches_pointwise():
     cells = disc_grid([3.0], (-1.0, -1.0), (-3.0, -3.0), 1.0)
     assert len(cells) == 1
