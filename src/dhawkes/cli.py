@@ -283,6 +283,7 @@ def write_json(obj: dict, path: str) -> None:
 
 _SWEEP_COLUMNS = (
     "swept_value", "exploded", "N", "proportion", "ci_lower", "ci_upper", "mean_tau_returned",
+    "censored",
 )
 _GRID_COLUMNS = tuple(f.name for f in fields(GridCell))
 
@@ -290,7 +291,7 @@ _GRID_COLUMNS = tuple(f.name for f in fields(GridCell))
 def _sweep_record(r: SweepRow) -> tuple:
     return (
         r.value, r.exploded, r.replicas, r.proportion,
-        r.interval.lower, r.interval.upper, r.mean_tau_returned,
+        r.interval.lower, r.interval.upper, r.mean_tau_returned, r.censored,
     )
 
 

@@ -5,7 +5,9 @@ point gets a derived seed (splitmix64 of the master seed and the point
 index) and every replica inside a point draws from its own stream, so
 results do not depend on worker count, chunking or execution order.
 Replica batches can be spread over a process pool; the pool returns
-them in submission order, which is replica order.
+them in submission order, which is replica order.  A sweep command
+(`sweep_explosion`, `tau_cdf_experiment`) opens one pool, runs every
+point on it and closes it before it returns, also when a point raises.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -93,6 +96,7 @@ class SweepRow:
     proportion: float
     interval: ConfidenceInterval
     mean_tau_returned: float | None
+    censored: int  # reached the horizon neither returned nor exploded
 
 
 def _check_jobs(jobs: int | None) -> None:
@@ -100,42 +104,76 @@ def _check_jobs(jobs: int | None) -> None:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
-def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> list[tuple[str, int, int]]:
-    params, cfg, start, stop = payload
-    out = []
-    for r in range(start, stop):
-        o = run_excursion(params, cfg, r)
-        out.append((o.kind.value, o.steps, o.peak))
-    return out
+def _workers(jobs: int | None, n_replicas: int) -> int:
+    """Worker processes for n replicas; 1 means run them in this process.
 
-
-def run_excursions(
-    params: Params, cfg: SimConfig, n_replicas: int, jobs: int | None = None
-) -> list[ExcursionOutcome]:
-    """Outcomes of replicas 0..n-1, bit-identical for any worker count.
-
-    jobs=None uses every core.
+    jobs=None uses every core.  Fewer than 256 replicas are not worth a
+    pool's dispatch.
     """
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     _check_jobs(jobs)
     if jobs is None:
         jobs = os.cpu_count() or 1
-    jobs = min(jobs, n_replicas)
-    if jobs == 1 or n_replicas < 256:
+    return 1 if n_replicas < 256 else min(jobs, n_replicas)
+
+
+# Kind of an outcome by its code in a batch's kind bytes.
+_KINDS = tuple(ExcursionKind)
+
+
+def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> tuple[bytes, list[int], list[int]]:
+    """Outcomes of one replica range as columns: kind codes, steps, peaks.
+
+    Peaks stay Python ints: a count above the threshold is followed up to
+    1e300 and would overflow any fixed-width integer array.
+    """
+    params, cfg, start, stop = payload
+    outcomes = [run_excursion(params, cfg, r) for r in range(start, stop)]
+    return (
+        bytes(_KINDS.index(o.kind) for o in outcomes),
+        [o.steps for o in outcomes],
+        [o.peak for o in outcomes],
+    )
+
+
+def run_excursions(
+    params: Params,
+    cfg: SimConfig,
+    n_replicas: int,
+    jobs: int | None = None,
+    *,
+    pool: ProcessPoolExecutor | None = None,
+) -> list[ExcursionOutcome]:
+    """Outcomes of replicas 0..n-1, bit-identical for any worker count.
+
+    jobs=None uses every core.  Batches run on `pool` when one is given
+    (it stays open); otherwise a pool is opened for this call and closed
+    before it returns.
+    """
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+    workers = _workers(jobs, n_replicas)
+    if workers == 1:
         return [run_excursion(params, cfg, r) for r in range(n_replicas)]
-    chunk = max(256, -(-n_replicas // (jobs * 8)))
+    chunk = max(256, -(-n_replicas // (workers * 8)))
     payloads = [
         (params, cfg, start, min(start + chunk, n_replicas))
         for start in range(0, n_replicas, chunk)
     ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        batches = list(pool.map(_batch_task, payloads))
-    return [
-        ExcursionOutcome(ExcursionKind(kind), steps, peak)
-        for rows in batches
-        for kind, steps, peak in rows
-    ]
+    outcomes: list[ExcursionOutcome] = []
+    with nullcontext(pool) if pool is not None else ProcessPoolExecutor(workers) as executor:
+        for codes, steps, peaks in executor.map(_batch_task, payloads):
+            outcomes += map(ExcursionOutcome, map(_KINDS.__getitem__, codes), steps, peaks)
+    return outcomes
+
+
+def _sweep_pool(spec: SweepSpec) -> AbstractContextManager[ProcessPoolExecutor | None]:
+    """One pool for every point of the sweep, or None when its points run serially.
+
+    The pool's workers have exited when the block is left, so their CPU
+    time and memory are accounted to this process's reaped children.
+    """
+    workers = _workers(spec.jobs, spec.replicas)
+    return nullcontext() if workers == 1 else ProcessPoolExecutor(workers)
 
 
 def _point_config(spec: SweepSpec, point_index: int) -> SimConfig:
@@ -147,21 +185,26 @@ def _point_config(spec: SweepSpec, point_index: int) -> SimConfig:
 def sweep_explosion(spec: SweepSpec) -> list[SweepRow]:
     """Explosion proportion with exact confidence interval per swept value."""
     rows = []
-    for idx, value in enumerate(spec.values):
-        params = spec.params_at(value)
-        outcomes = run_excursions(params, _point_config(spec, idx), spec.replicas, spec.jobs)
-        exploded = sum(1 for o in outcomes if o.kind is ExcursionKind.EXPLODED)
-        returned = [o.steps for o in outcomes if o.kind is ExcursionKind.RETURNED]
-        rows.append(
-            SweepRow(
-                value=value,
-                exploded=exploded,
-                replicas=spec.replicas,
-                proportion=exploded / spec.replicas,
-                interval=clopper_pearson(exploded, spec.replicas, spec.alpha),
-                mean_tau_returned=sum(returned) / len(returned) if returned else None,
+    with _sweep_pool(spec) as pool:
+        for idx, value in enumerate(spec.values):
+            params = spec.params_at(value)
+            outcomes = run_excursions(
+                params, _point_config(spec, idx), spec.replicas, spec.jobs, pool=pool
             )
-        )
+            exploded = sum(1 for o in outcomes if o.kind is ExcursionKind.EXPLODED)
+            censored = sum(1 for o in outcomes if o.kind is ExcursionKind.CENSORED)
+            returned = [o.steps for o in outcomes if o.kind is ExcursionKind.RETURNED]
+            rows.append(
+                SweepRow(
+                    value=value,
+                    exploded=exploded,
+                    replicas=spec.replicas,
+                    proportion=exploded / spec.replicas,
+                    interval=clopper_pearson(exploded, spec.replicas, spec.alpha),
+                    mean_tau_returned=sum(returned) / len(returned) if returned else None,
+                    censored=censored,
+                )
+            )
     return rows
 
 
@@ -172,10 +215,13 @@ def tau_cdf_experiment(spec: SweepSpec) -> dict[float, list[tuple[int, float]]]:
     final atom; censored ones sit at the horizon itself.
     """
     out: dict[float, list[tuple[int, float]]] = {}
-    for idx, value in enumerate(spec.values):
-        params = spec.params_at(value)
-        outcomes = run_excursions(params, _point_config(spec, idx), spec.replicas, spec.jobs)
-        out[value] = ecdf([o.steps for o in outcomes])
+    with _sweep_pool(spec) as pool:
+        for idx, value in enumerate(spec.values):
+            params = spec.params_at(value)
+            outcomes = run_excursions(
+                params, _point_config(spec, idx), spec.replicas, spec.jobs, pool=pool
+            )
+            out[value] = ecdf([o.steps for o in outcomes])
     return out
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dhawkes.classify import Verdict, classify
-from dhawkes.cubic import cubic_report, det_m_alpha_identity_check, discriminant
+from dhawkes.cubic import cubic_report, cubic_reports, det_m_alpha_identity_check, discriminant
 from dhawkes.drift import (
     certify_drift,
     delta_v_alpha,
@@ -264,17 +264,18 @@ def test_criterion_09_property_suites():
     # R(alpha_Q) > 0 and K(alpha_Q) < 0 under the inhibition hypotheses: 1e4
     from dhawkes.cubic import k_of_alpha, r_of_alpha
 
-    checked = 0
-    while checked < 10_000:
+    points = []
+    while len(points) < 10_000:
         a = rng.uniform(-5, 5)
         b = rng.uniform(-5, 0)
         c = rng.uniform(-5, 0)
         if b == 0.0 or c == 0.0 or not discriminant(a, b, c) < -1e-9:
             continue
-        aq = cubic_report(a, b, c).alpha_q
+        points.append((a, b, c))
+    alpha_q = cubic_reports(*zip(*points)).alpha_q.tolist()
+    for (a, b, c), aq in zip(points, alpha_q):
         assert r_of_alpha(a, b, aq) > 0.0, (a, b, c)
         assert k_of_alpha(a, b, c, aq) < 0.0, (a, b, c)
-        checked += 1
 
     # transition kernel normalization, 1e3 random states, 1e-9
     for _ in range(1_000):

@@ -159,7 +159,7 @@ def test_sweep_csv_roundtrip_bytes(tmp_path, capsys):
     assert run(_sweep_argv(p2, "0,4", 500), capsys)[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
-    assert header == "swept_value,exploded,N,proportion,ci_lower,ci_upper,mean_tau_returned"
+    assert header == "swept_value,exploded,N,proportion,ci_lower,ci_upper,mean_tau_returned,censored"
 
 
 def test_sweep_json_mirror(tmp_path, capsys):

@@ -117,23 +117,43 @@ def test_alpha_q_vanishes_with_c():
 
 
 def _random_alpha_q_points(rng, n):
-    """n random points with an alpha_q: |a| up to 30, and a third with c -> 0-."""
-    points = []
+    """n random points with an alpha_q: |a| up to 30, and a third with c -> 0-.
+
+    A candidate draws a, b, then c, tiny when the number of points kept so
+    far is a multiple of 3, and is kept if it has an alpha_q.  Candidates
+    are drawn in blocks, and each block's two possible c columns are judged
+    by one cubic_reports call each; the kept points, and where rng is left,
+    are those of drawing and judging one candidate at a time.
+    """
+    start = rng.bit_generator.state
+    points: list[tuple[float, float, float]] = []
+    drawn = 0
     while len(points) < n:
-        a, b = rng.uniform(-30, 30), rng.uniform(-10, 10)
-        c = -(10.0 ** rng.uniform(-12, -3)) if len(points) % 3 == 0 else rng.uniform(-50, 0)
-        if cubic_report(a, b, c).alpha_q is not None:
-            points.append((a, b, c))
+        u = rng.random((2 * (n - len(points)) + 16, 3))  # uniform(lo, hi) is lo + (hi - lo) * u
+        a, b = (-30.0 + 60.0 * u[:, 0]).tolist(), (-10.0 + 20.0 * u[:, 1]).tolist()
+        tiny = [-(10.0**x) for x in (-12.0 + 9.0 * u[:, 2]).tolist()]
+        wide = (-50.0 + 50.0 * u[:, 2]).tolist()
+        keep_tiny, keep_wide = ((~np.isnan(cubic_reports(a, b, c).alpha_q)).tolist() for c in (tiny, wide))
+        for i in range(len(u)):
+            drawn += 1
+            c, keep = (tiny, keep_tiny) if len(points) % 3 == 0 else (wide, keep_wide)
+            if keep[i]:
+                points.append((a[i], b[i], c[i]))
+                if len(points) == n:
+                    break
+    rng.bit_generator.state = start
+    rng.random((drawn, 3))
     return points
 
 
 def test_alpha_q_matches_brentq_oracle():
     # an independent solver: sign-change bracketing of Q itself on [0, Cauchy bound]
     rng = np.random.default_rng(17)
-    for a, b, c in _random_alpha_q_points(rng, 1200):
+    points = _random_alpha_q_points(rng, 1200)
+    alpha_q = cubic_reports(*zip(*points)).alpha_q.tolist()
+    for (a, b, c), aq in zip(points, alpha_q):
         hi = 1.0 + abs(a) + abs(b) + abs(c)
         oracle = brentq(lambda x: q_eval(a, b, c, x), 0.0, hi, xtol=1e-300, rtol=8.9e-16)
-        aq = cubic_report(a, b, c).alpha_q
         assert abs(aq - oracle) <= 1e-14 * oracle, (a, b, c, aq, oracle)
 
 

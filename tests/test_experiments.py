@@ -1,5 +1,9 @@
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
+from dhawkes import experiments
 from dhawkes.experiments import (
     SweepSpec,
     derive_point_seed,
@@ -70,18 +74,62 @@ def test_sweep_deterministic_and_consistent():
 
 
 def test_sweep_rows_match_outcome_recount():
-    spec = spec_at([4.0], replicas=1500)
+    # b = 4 explodes; the near-critical b = 1 runs some excursions to the horizon
+    spec = spec_at([4.0, 1.0], replicas=1500)
     rows = sweep_explosion(spec)
-    params = spec.params_at(4.0)
-    cfg_point = SimConfig(
-        horizon_n=spec.sim.horizon_n,
-        master_seed=derive_point_seed(spec.sim.master_seed, 0),
+    for idx, row in enumerate(rows):
+        params = spec.params_at(row.value)
+        cfg_point = SimConfig(
+            horizon_n=spec.sim.horizon_n,
+            master_seed=derive_point_seed(spec.sim.master_seed, idx),
+        )
+        outcomes = run_excursions(params, cfg_point, spec.replicas, jobs=1)
+        exploded = sum(o.kind is ExcursionKind.EXPLODED for o in outcomes)
+        censored = sum(o.kind is ExcursionKind.CENSORED for o in outcomes)
+        returned = [o.steps for o in outcomes if o.kind is ExcursionKind.RETURNED]
+        assert row.exploded == exploded
+        assert row.censored == censored
+        assert row.mean_tau_returned == pytest.approx(sum(returned) / len(returned))
+    assert rows[0].exploded > 0
+    assert rows[1].censored > 0
+
+
+@pytest.mark.parametrize("replicas", [1000, 200])  # pooled at jobs=2, and below the pool's floor
+def test_sweep_and_ecdf_equal_at_one_and_two_jobs(replicas):
+    serial, pooled = (spec_at([0.5, 2.0, 4.0], replicas=replicas, jobs=j) for j in (1, 2))
+    rows = sweep_explosion(serial)
+    assert rows == sweep_explosion(pooled)
+    assert rows[-1].exploded > 0
+    assert tau_cdf_experiment(serial) == tau_cdf_experiment(pooled)
+
+
+class _CountedPool(ProcessPoolExecutor):
+    opened = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).opened += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("command", [sweep_explosion, tau_cdf_experiment])
+def test_sweep_command_opens_one_pool_and_closes_it(command, monkeypatch):
+    # A pool that outlived the command would hide its workers' CPU time and
+    # memory from RUSAGE_CHILDREN, which counts only reaped children.
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _CountedPool)
+    monkeypatch.setattr(_CountedPool, "opened", 0)
+    command(spec_at([0.0, 2.0, 4.0], replicas=600, jobs=2))
+    assert _CountedPool.opened == 1
+    assert multiprocessing.active_children() == []
+
+    # a = 1e300 drives the intensity to inf, and the worker's Poisson draw raises
+    failing = SweepSpec(
+        fixed={"b": 0.0, "c": 0.0}, sweep_name="a", values=(0.5, 1e300), replicas=300,
+        sim=SimConfig(horizon_n=100, master_seed=1), jobs=2,
     )
-    outcomes = run_excursions(params, cfg_point, spec.replicas, jobs=1)
-    exploded = sum(o.kind is ExcursionKind.EXPLODED for o in outcomes)
-    returned = [o.steps for o in outcomes if o.kind is ExcursionKind.RETURNED]
-    assert rows[0].exploded == exploded
-    assert rows[0].mean_tau_returned == pytest.approx(sum(returned) / len(returned))
+    with pytest.raises(ValueError, match="mean must be finite"):
+        command(failing)
+    assert _CountedPool.opened == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_interval_narrows_with_more_replicas():
