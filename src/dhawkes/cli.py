@@ -15,10 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, fields
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .classify import classify, grid_values
 from .cubic import discriminant
@@ -275,10 +278,129 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
         w.writerows([_csv_field(v) for v in row] for row in rows)
 
 
-def write_json(obj: dict, path: str) -> None:
+def write_json(obj: object, path: str) -> None:
+    """Write the bytes of json.dumps(obj, indent=2, sort_keys=True) and a newline, streamed.
+
+    json.dump runs its pure-Python encoder whenever it indents.  Here a
+    list of flat dicts with the same string keys (a table's rows) is
+    encoded a column at a time, _JSON_BLOCK rows at a time, and laid out
+    with one %-template per row; each row is written as it is formatted.
+    """
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        f.writelines(_json_chunks(obj, "\n"))
         f.write("\n")
+
+
+_JSON_BLOCK = 256  # table rows encoded per batch
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))  # float.__repr__ of the values JSON spells otherwise
+
+
+def _json_float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)  # NaN, Infinity, -Infinity
+
+
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_scalar(o: object) -> str | None:
+    """The JSON token of a string, number, bool or None, as json.dumps writes it; None otherwise."""
+    encode = _JSON_SCALARS.get(type(o))
+    if encode is not None:
+        return encode(o)
+    for kind in (str, int, float):  # subclasses, checked in json's order
+        if isinstance(o, kind):
+            return _JSON_SCALARS[kind](o)
+    return None
+
+
+def _json_key(k: object) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    token = _json_scalar(k)
+    if token is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return encode_basestring_ascii(token)
+
+
+def _json_column(values: list) -> list[str] | None:
+    """The tokens of one table column; None if a value is not a scalar."""
+    kinds = set(map(type, values))
+    encode = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    if encode is _json_float:
+        tokens = list(map(float.__repr__, values))
+        if _NON_FINITE.isdisjoint(tokens):
+            return tokens
+    elif encode is not None:
+        return list(map(encode, values))
+    tokens = list(map(_json_scalar, values))
+    return None if None in tokens else tokens
+
+
+def _json_rows(block: Sequence, inner: str) -> Iterator[str] | None:
+    """Each item's text where block is a table: dicts with one set of string keys and scalar values.
+
+    None for any other block.  inner starts the items' lines.
+    """
+    first = block[0]
+    if set(map(type, block)) != {dict} or set(map(len, block)) != {len(first)} or not first:
+        return None
+    if not all(type(k) is str for k in first):
+        return None
+    keys = sorted(first)
+    try:
+        columns = [_json_column(list(map(itemgetter(k), block))) for k in keys]
+    except KeyError:  # a row with other keys
+        return None
+    if None in columns:
+        return None
+    pairs = ",".join(f"{inner}  {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys)
+    row = inner + "{" + pairs + inner + "}"
+    return map(row.__mod__, zip(*columns))
+
+
+def _json_chunks(o: object, nl: str) -> Iterator[str]:
+    """The text of o as json.dumps(o, indent=2, sort_keys=True) lays it out; nl starts o's lines."""
+    token = _json_scalar(o)
+    if token is not None:
+        yield token
+        return
+    inner = nl + "  "
+    if isinstance(o, dict):
+        if not o:
+            yield "{}"
+            return
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            yield sep + _json_key(k) + ": "
+            yield from _json_chunks(v, inner)
+            sep = "," + inner
+        yield nl + "}"
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            yield "[]"
+            return
+        sep = "["
+        for start in range(0, len(o), _JSON_BLOCK):
+            block = o[start:start + _JSON_BLOCK]
+            rows = _json_rows(block, inner)
+            if rows is None:
+                for item in block:
+                    yield sep + inner
+                    yield from _json_chunks(item, inner)
+                    sep = ","
+            else:
+                for text in rows:
+                    yield sep + text
+                    sep = ","
+        yield nl + "]"
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 _SWEEP_COLUMNS = (
@@ -319,7 +441,7 @@ def _sweep_json(spec: SweepSpec, records: list[tuple]) -> dict:
 
 
 def _drift_json(cert: DriftCertificate) -> dict:
-    report = cert.report
+    report, small = cert.report, cert.small_set
     return {
         "alpha": cert.cubic.alpha_q,
         "epsilon": report.epsilon,
@@ -328,7 +450,11 @@ def _drift_json(cert: DriftCertificate) -> dict:
         "violations": [list(v) for v in report.violation_set[:1000]],
         "k_bound": report.k_bound,
         "shell_clean": report.shell_clean,
-        "small_set_verified": cert.small_set is not None and cert.small_set.verified,
+        "small_set_verified": small is not None and small.verified,
+        "small_set_witness": None if small is None else small.witness_probability,
+        "small_set_bound": None if small is None else small.bound,
+        "q_max_on_octant": cert.q_max_on_octant,
+        "det_identity_residual": cert.det_identity_residual,
     }
 
 

@@ -234,19 +234,46 @@ def q_form_negativity_check(cubic: CubicReport) -> float:
     return float(np.einsum("ni,ij,nj->n", u, form, u).max())
 
 
-def _drift_terms(params3: Params, alpha: float, i, j, k):
-    """Clipped mask, Delta V_alpha and V_alpha at the states (i, j, k).
+def _jk_terms(params3: Params, alpha: float, j, k) -> tuple:
+    """The parts of the V_alpha arithmetic that do not depend on i.
 
-    i, j and k are scalars or arrays that broadcast together; every state
-    gets the same elementwise arithmetic, so a shell and a cube agree
-    bit for bit on the states they share.
+    b*j, c*k, alpha*j and the denominator j + alpha*k + 1 of V_alpha,
+    for _i_terms to combine with any i.
     """
-    a, b, c = params3.abc
-    s_raw = a * i + b * j + c * k + params3.lam
-    num = i + alpha * j
-    ratio = num / (j + alpha * k + 1.0)
-    dv = (np.maximum(s_raw, 0.0) + alpha * i) / (num + 1.0) - ratio
-    return s_raw <= 0.0, dv, ratio + 1.0
+    _, b, c = params3.abc
+    return b * j, c * k, alpha * j, j + alpha * k + 1.0
+
+
+def _buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Work arrays of _i_terms: four float64 arrays and one bool mask."""
+    return (*(np.empty(shape) for _ in range(4)), np.empty(shape, dtype=bool))
+
+
+def _i_terms(params3: Params, alpha: float, i, jk: tuple, out: tuple[np.ndarray, ...]):
+    """Clipped mask, Delta V_alpha and V_alpha at the states (i, j, k), written into out.
+
+    jk is _jk_terms at (j, k); i, j and k are scalars or arrays that
+    broadcast to out's shape.  Every state gets the same elementwise
+    arithmetic in the same order, s = ((a*i + b*j) + c*k) + lam,
+    num = i + alpha*j and dv = (max(s, 0) + alpha*i)/(num + 1) - num/den,
+    so a shell and a cube agree bit for bit on the states they share.
+    """
+    a = params3.abc[0]
+    bj, ck, aj, den = jk
+    s, num, ratio, dv, in_a = out
+    np.add(bj, a * i, out=s)
+    s += ck
+    s += params3.lam
+    np.less_equal(s, 0.0, out=in_a)
+    np.add(aj, i, out=num)
+    np.divide(num, den, out=ratio)
+    np.maximum(s, 0.0, out=dv)
+    dv += alpha * i
+    num += 1.0
+    dv /= num
+    dv -= ratio
+    ratio += 1.0  # now V_alpha
+    return in_a, dv, ratio
 
 
 def scan_violations(
@@ -269,20 +296,24 @@ def scan_violations(
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     r = box_radius
     axis = np.arange(r + 1, dtype=np.float64)
-    jj, kk = np.meshgrid(axis, axis, indexing="ij")
+    # once per scan, each slice only adds its i; full planes, as a broadcast column is slower per slice
+    jk = _jk_terms(params3, alpha, *np.meshgrid(axis, axis, indexing="ij"))
+    out = _buffers((r + 1, r + 1))
+    bad, counted = np.empty((2, r + 1, r + 1), dtype=bool)
 
     violations: list[State] = []
     total = 0
     k_bound = -math.inf
     shell_clean = True
     for i in range(r + 1):
-        in_a, dv, v = _drift_terms(params3, alpha, i, jj, kk)
-        dvev = dv + epsilon * v
-        bad = np.logical_and(~in_a, dvev > 0.0)
-        contrib = dvev[np.logical_or(bad, in_a)]
-        if contrib.size:
-            k_bound = max(k_bound, float(contrib.max()))
-        n_bad = int(bad.sum())
+        in_a, dvev, v = _i_terms(params3, alpha, i, jk, out)
+        v *= epsilon
+        dvev += v  # Delta V + eps*V
+        np.greater(dvev, 0.0, out=bad)
+        np.logical_or(bad, in_a, out=counted)  # the states K bounds
+        k_bound = max(k_bound, float(np.max(dvev, initial=-math.inf, where=counted)))
+        bad &= ~in_a
+        n_bad = int(np.count_nonzero(bad))
         if n_bad:
             total += n_bad
             coords = np.argwhere(bad)
@@ -315,7 +346,8 @@ def _shell_epsilon(params3: Params, alpha: float, r: int) -> float | None:
     faces = ((r, axis[:, None], axis), (inner, r, axis), (inner, axis[:-1], r))
     idx = 0
     for i, j, k in faces:
-        in_a, dv, v = _drift_terms(params3, alpha, i, j, k)
+        out = _buffers(np.broadcast_shapes(*map(np.shape, (i, j, k))))
+        in_a, dv, v = _i_terms(params3, alpha, i, _jk_terms(params3, alpha, j, k), out)
         dv, v = dv[~in_a], v[~in_a]
         while idx < len(EPSILONS) and (dv + EPSILONS[idx] * v > 0.0).any():
             idx += 1

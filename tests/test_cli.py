@@ -1,13 +1,14 @@
 import csv
 import json
+import math
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from dhawkes import cubic
-from dhawkes.cli import build_parser, main, write_csv
+from dhawkes import cli, cubic
+from dhawkes.cli import build_parser, main, write_csv, write_json
 from dhawkes.experiments import SweepSpec, sweep_explosion
 from dhawkes.simulate import SimConfig
 
@@ -332,6 +333,25 @@ def test_drift_certificate(capsys):
     assert "alpha_q=0.8126039858" in out
 
 
+@pytest.mark.parametrize("abc", [("2.5", "-1", "-3"), ("3", "0.5", "-15")], ids=["b<0", "b>=0"])
+def test_drift_json_reports_margins(abc, tmp_path, capsys):
+    a, b, c = abc
+    path = tmp_path / "d.json"
+    code, out, _ = run(["drift", "-a", a, "-b", b, "-c", c, "--radius", "40", "--out", str(path)], capsys)
+    assert code == 0
+    data = json.loads(path.read_text())
+    assert f"q_max_on_octant={cli._fmt(data['q_max_on_octant'])}" in out
+    assert f"det_identity_residual={data['det_identity_residual']:.3e}" in out
+    assert data["q_max_on_octant"] < 0.0 and abs(data["det_identity_residual"]) < 1e-8
+    if float(b) < 0:
+        assert data["small_set_verified"]
+        assert data["small_set_bound"] == math.exp(-2.0) <= data["small_set_witness"]
+        assert f"(witness={cli._fmt(data['small_set_witness'])}, bound={cli._fmt(data['small_set_bound'])})" in out
+    else:  # the small set is not applicable: no margins to report
+        assert not data["small_set_verified"]
+        assert data["small_set_witness"] is None and data["small_set_bound"] is None
+
+
 def test_drift_solves_the_cubic_once(monkeypatch, capsys):
     solves = []
     solve = cubic._companion_roots
@@ -454,3 +474,78 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+def _oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class _Str(str):
+    pass
+
+
+_TABLE = [{"a": 0.5, "b": "x", "c": None, "d": True}, {"d": False, "c": 1, "b": "y", "a": -2.9}]
+_WRITER_CASES = {
+    "empty-dict": {},
+    "empty-list": [],
+    "zero-row-table": {"rows": []},
+    "one-row-table": {"rows": _TABLE[:1]},
+    "table": {"rows": _TABLE},
+    "ragged-table": [*_TABLE, {"a": 1}, {"a": 2, "b": 3, "c": 4, "d": 5, "e": 6}, {}, {"a": [1, {"b": ()}]}],
+    "table-with-nested-value": [{"a": 1, "b": [2, 3]}, {"a": 4, "b": {"c": (5,)}}],
+    "table-of-non-str-keys": [{1: "a", 2.5: "b"}, {1: "c", 2.5: "d"}],
+    "long-table": [{"x": i / 7, "n": i, "s": f"r{i}"} for i in range(2500)] + [{"x": math.nan, "n": 0, "s": ""}],
+    "nested": [[1, [2, (3, (4,))], ()], ({"q": (1.0, [])},), {"a": {"b": {"c": []}}}],
+    "non-finite": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324, {"k": [{"v": math.inf}, {"v": -0.0}]}],
+    "big-ints": [2**63, 2**64 + 1, -(2**70), int(1e300), {"peak": int(1e300)}, [{"peak": 2**63}]],
+    "bool-int-none": [True, 1, False, 0, None, 1.0, {"t": True, "o": 1, "n": None}, [{"t": True}, {"t": 1}]],
+    "strings": ["é ü 😀", 'q"uo\\te', "\x00\x01\n\t\x7f\u2028", "%s %d %%", {"%s": "%s", "ké\n": 1},
+                [{"%s": "%", "%%": "é"}, {"%s": _Str("s"), "%%": "\\"}]],
+    "number-keys": {1: "int", 2.5: "float", -3: "neg", math.inf: "inf"},
+    "bool-keys": {True: 1, False: 0},
+    "none-key": {None: [None]},
+}
+
+
+@pytest.mark.parametrize("obj", list(_WRITER_CASES.values()), ids=list(_WRITER_CASES))
+def test_write_json_matches_json_dumps(obj, tmp_path):
+    path = tmp_path / "o.json"
+    write_json(obj, str(path))
+    assert path.read_text(encoding="utf-8") == _oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [{"a": object()}, {(1,): 2}, {1: 1, "a": 2}, [{1, 2}]])
+def test_write_json_rejects_what_json_rejects(obj, tmp_path):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        write_json(obj, str(tmp_path / "o.json"))
+    assert str(got.value) == str(expected.value)
+
+
+def test_every_command_mirror_matches_json_dumps(tmp_path, capsys, monkeypatch):
+    written = []
+    real = cli.write_json
+    monkeypatch.setattr(cli, "write_json", lambda obj, path: written.append((obj, path)) or real(obj, path))
+    sim = ["--replicas", "300", "--seed", "3", "--horizon", "500", "--jobs", "1"]
+    commands = [
+        ["sweep", "--fix", "a=3,c=-15", "--sweep", "b=0,1.1,4", *sim],
+        ["ecdf", "--fix", "a=3,c=-15", "--sweep", "b=0.9,4", *sim],
+        ["gallery", "-a", "3", "-b", "4", "-c", "-15", "--want", "2", "--prefix", "10",
+         "--horizon", "500", "--seed", "11"],
+        ["drift", "-a", "2.5", "-b", "-1", "-c", "-3", "--radius", "40"],
+        ["drift", "-a", "3", "-b", "0.5", "-c", "-15", "--radius", "40"],
+        ["grid", "--a-values", "0.5,1,3", "--b-range=-1.5:3", "--c-range=-1:0.5", "--step", "0.5"],
+    ]
+    # every command writes its mirror (drift: the report) and echoes its configuration
+    commands = [
+        [*argv, "--out", str(tmp_path / f"{n}.json"), "--echo-config", str(tmp_path / f"{n}.echo.json")]
+        for n, argv in enumerate(commands)
+    ]
+    commands.append(["classify", "-a", "2.5", "-b", "-1", "-c", "-3", "--echo-config", str(tmp_path / "c.json")])
+    for argv in commands:
+        code, _, err = run(argv, capsys)
+        assert code == 0, (argv, err)
+    assert len(written) == 13
+    for obj, path in written:
+        assert Path(path).read_text(encoding="utf-8") == _oracle(obj), path

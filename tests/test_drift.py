@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dhawkes import drift
 from dhawkes.cubic import (
     c_bounds,
     cubic_report,
@@ -12,7 +13,9 @@ from dhawkes.cubic import (
     r_of_alpha,
 )
 from dhawkes.drift import (
+    MAX_RECORDED_VIOLATIONS,
     Q_GRID_DENSITY,
+    DriftReport,
     certify_drift,
     delta_v_alpha,
     q_form_negativity_check,
@@ -295,6 +298,113 @@ def test_scan_violations_dirty_shell_flagged():
     aq = cubic_report(2.5, -1.0, -3.0).alpha_q
     report = scan_violations(params, aq, 0.5, 40)
     assert not report.shell_clean
+
+
+def _slice_scan(params3, alpha, epsilon, box_radius):
+    """Oracle: scan_violations as first written, every slice computing all its terms afresh."""
+    a, b, c = params3.abc
+    r = box_radius
+    axis = np.arange(r + 1, dtype=np.float64)
+    jj, kk = np.meshgrid(axis, axis, indexing="ij")
+    violations, total, k_bound, shell_clean = [], 0, -math.inf, True
+    for i in range(r + 1):
+        s_raw = a * i + b * jj + c * kk + params3.lam
+        num = i + alpha * jj
+        ratio = num / (jj + alpha * kk + 1.0)
+        dv = (np.maximum(s_raw, 0.0) + alpha * i) / (num + 1.0) - ratio
+        in_a = s_raw <= 0.0
+        dvev = dv + epsilon * (ratio + 1.0)
+        bad = np.logical_and(~in_a, dvev > 0.0)
+        contrib = dvev[np.logical_or(bad, in_a)]
+        if contrib.size:
+            k_bound = max(k_bound, float(contrib.max()))
+        n_bad = int(bad.sum())
+        if n_bad:
+            total += n_bad
+            coords = np.argwhere(bad)
+            if i == r or (coords == r).any():
+                shell_clean = False
+            room = MAX_RECORDED_VIOLATIONS - len(violations)
+            for j_, k_ in coords[: max(room, 0)]:
+                violations.append((i, int(j_), int(k_)))
+    return DriftReport(
+        epsilon=epsilon,
+        violation_set=tuple(violations),
+        violations_total=total,
+        k_bound=k_bound if math.isfinite(k_bound) else 0.0,
+        box_radius=box_radius,
+        shell_clean=shell_clean,
+    )
+
+
+def _assert_same_report(got, expected):
+    assert got == expected
+    assert repr(got.k_bound) == repr(expected.k_bound)
+    assert type(got.violations_total) is int
+
+
+# the benchmark's five certified points at radius 200, and a b > 0 point
+@pytest.mark.parametrize(
+    "abc",
+    [(2.5, -1.0, -3.0), (4.19, -2.66, -5.0), (3.78, -2.88, -1.91), (1.9, -4.61, -9.49),
+     (1.87, -0.14, -7.99), (3.0, 0.5, -15.0)],
+)
+def test_scan_violations_matches_slice_oracle_at_certified_points(abc):
+    params = Params.p3(*abc, 1.0)
+    report = certify_drift(params, box_radius=200).report
+    assert report.box_radius == 200 and report.shell_clean
+    alpha = cubic_report(*abc).alpha_q
+    _assert_same_report(report, _slice_scan(params, alpha, report.epsilon, 200))
+
+
+@pytest.mark.parametrize(
+    "epsilon, radius",
+    [(0.5, 40), (0.125, 0), (2.0**-6, 60), (0.3, 17), (1.0, 1), (2.0**-20, 60)],
+    ids=["dirty-shell", "r0", "r60", "r17", "r1", "r60-small-eps"],
+)
+def test_scan_violations_matches_slice_oracle(epsilon, radius):
+    params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
+    alpha = cubic_report(2.5, -1.0, -3.0).alpha_q
+    expected = _slice_scan(params, alpha, epsilon, radius)
+    _assert_same_report(scan_violations(params, alpha, epsilon, radius), expected)
+    if epsilon == 0.5:
+        assert not expected.shell_clean and expected.violations_total > 0
+
+
+def test_scan_violations_matches_slice_oracle_at_random_points():
+    # non-dyadic coefficients, lam, alpha and epsilon: the terms round, so any
+    # reordering of the arithmetic shows in k_bound or the violation set
+    rng = np.random.default_rng(48)
+    for _ in range(40):
+        a, b, c = rng.uniform(-3, 3), rng.uniform(-3, 1.5), rng.uniform(-6, -0.1)
+        params = Params.p3(a, b, c, rng.uniform(0.1, 3.0))
+        alpha, epsilon, radius = rng.uniform(0.05, 3.0), rng.uniform(0.01, 1.0), int(rng.integers(0, 41))
+        expected = _slice_scan(params, alpha, epsilon, radius)
+        _assert_same_report(scan_violations(params, alpha, epsilon, radius), expected)
+
+
+def test_drift_terms_keep_the_evaluation_order():
+    # a cube slice and the three shell faces share _jk_terms/_i_terms; each must give
+    # the bits of the one-expression form at every state, or shell and cube could disagree
+    rng = np.random.default_rng(49)
+    r = 23
+    axis = np.arange(r + 1, dtype=np.float64)
+    jj, kk = np.meshgrid(axis, axis, indexing="ij")
+    layouts = ((7, jj, kk), (r, axis[:, None], axis), (axis[:-1, None], r, axis), (axis[:-1, None], axis[:-1], r))
+    for _ in range(20):
+        a, b, c = rng.uniform(-3, 3, size=3)
+        params = Params.p3(a, b, c, rng.uniform(0.1, 3.0))
+        alpha = rng.uniform(0.05, 3.0)
+        for i, j, k in layouts:
+            shape = np.broadcast_shapes(*map(np.shape, (i, j, k)))
+            jk = drift._jk_terms(params, alpha, j, k)
+            got = drift._i_terms(params, alpha, i, jk, drift._buffers(shape))
+            s = a * i + b * j + c * k + params.lam
+            num = i + alpha * j
+            ratio = num / (j + alpha * k + 1.0)
+            expected = (s <= 0.0, (np.maximum(s, 0.0) + alpha * i) / (num + 1.0) - ratio, ratio + 1.0)
+            for g, e in zip(got, expected):
+                assert g.tobytes() == np.broadcast_to(e, shape).tobytes()
 
 
 def _full_cube_search(params3, alpha, radius, max_radius):
