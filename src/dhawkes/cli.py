@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
-import math
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -70,6 +70,13 @@ DEFAULTS: dict[str, dict] = {
         "lam": 1.0, "out": None,
     },
 }
+
+# The config keys of the int and the float flags.  An int flag's value must
+# be a JSON integer, a float flag's any number; neither takes a bool.
+_INT_KEYS = frozenset(
+    "p horizon threshold seed length replica replicas jobs want prefix cap radius max_radius".split()
+)
+_FLOAT_KEYS = frozenset("a b c lam alpha step".split())
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -212,6 +219,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         for key, val in loaded.items():
             if val is None and merged[key] is not None:
                 raise ValueError(f"config key {key!r} must not be null")
+            kinds = int if key in _INT_KEYS else (int, float) if key in _FLOAT_KEYS else None
+            if kinds and val is not None and (isinstance(val, bool) or not isinstance(val, kinds)):
+                noun = "an integer" if kinds is int else "a number"
+                raise ValueError(f"config key {key!r} must be {noun}, got {val!r}")
             if key == "sweep" and isinstance(val, list):
                 val = (val[0], [float(v) for v in val[1]])
             merged[key] = val
@@ -281,10 +292,11 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 def write_json(obj: object, path: str) -> None:
     """Write the bytes of json.dumps(obj, indent=2, sort_keys=True) and a newline, streamed.
 
-    json.dump runs its pure-Python encoder whenever it indents.  Here a
-    list of flat dicts with the same string keys (a table's rows) is
-    encoded a column at a time, _JSON_BLOCK rows at a time, and laid out
-    with one %-template per row; each row is written as it is formatted.
+    json.dump runs its pure-Python encoder whenever it indents.  Here json's
+    C encoder writes the tokens and this writer lays them out.  A table's
+    rows (flat dicts with the same string keys) are encoded a column at a
+    time, _JSON_BLOCK rows at a time, and each row is written through one
+    %-template as it is formatted.
     """
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(_json_chunks(obj, "\n"))
@@ -293,53 +305,33 @@ def write_json(obj: object, path: str) -> None:
 
 _JSON_BLOCK = 256  # table rows encoded per batch
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))  # float.__repr__ of the values JSON spells otherwise
-
-
-def _json_float(x: float) -> str:
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)  # NaN, Infinity, -Infinity
-
-
-_JSON_SCALARS = {
+_CONTAINERS = (dict, list, tuple)
+# Tokens of a column whose values are all of one of these exact types, faster than the encoder.
+_JSON_TOKENS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _json_float,
+    float: float.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
 }
 
 
-def _json_scalar(o: object) -> str | None:
-    """The JSON token of a string, number, bool or None, as json.dumps writes it; None otherwise."""
-    encode = _JSON_SCALARS.get(type(o))
-    if encode is not None:
-        return encode(o)
-    for kind in (str, int, float):  # subclasses, checked in json's order
-        if isinstance(o, kind):
-            return _JSON_SCALARS[kind](o)
-    return None
-
-
-def _json_key(k: object) -> str:
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    token = _json_scalar(k)
-    if token is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    return encode_basestring_ascii(token)
+@functools.cache
+def _json_encoder(sep: str) -> Callable[[object], str]:
+    """json's C encoder, keys sorted, with item separator sep."""
+    return json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
 
 
 def _json_column(values: list) -> list[str] | None:
-    """The tokens of one table column; None if a value is not a scalar."""
+    """The tokens of one table column; None if a value is a container."""
     kinds = set(map(type, values))
-    encode = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-    if encode is _json_float:
-        tokens = list(map(float.__repr__, values))
-        if _NON_FINITE.isdisjoint(tokens):
+    encode = _JSON_TOKENS.get(next(iter(kinds))) if len(kinds) == 1 else None
+    if encode is not None:
+        tokens = list(map(encode, values))
+        if encode is not float.__repr__ or _NON_FINITE.isdisjoint(tokens):
             return tokens
-    elif encode is not None:
-        return list(map(encode, values))
-    tokens = list(map(_json_scalar, values))
-    return None if None in tokens else tokens
+    if any(issubclass(kind, _CONTAINERS) for kind in kinds):
+        return None
+    return _json_encoder("\n")(values)[1:-1].split("\n")
 
 
 def _json_rows(block: Sequence, inner: str) -> Iterator[str] | None:
@@ -355,8 +347,8 @@ def _json_rows(block: Sequence, inner: str) -> Iterator[str] | None:
     keys = sorted(first)
     try:
         columns = [_json_column(list(map(itemgetter(k), block))) for k in keys]
-    except KeyError:  # a row with other keys
-        return None
+    except (KeyError, TypeError):  # a row with other keys; a value json rejects, left to
+        return None  # the item-by-item path, which raises json's error in json's order
     if None in columns:
         return None
     pairs = ",".join(f"{inner}  {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys)
@@ -365,42 +357,34 @@ def _json_rows(block: Sequence, inner: str) -> Iterator[str] | None:
 
 
 def _json_chunks(o: object, nl: str) -> Iterator[str]:
-    """The text of o as json.dumps(o, indent=2, sort_keys=True) lays it out; nl starts o's lines."""
-    token = _json_scalar(o)
-    if token is not None:
-        yield token
-        return
+    """The text of o as json.dumps(o, indent=2, sort_keys=True) lays it out; nl starts o's lines.
+
+    A container that holds no container is one encoder call whose item
+    separator starts each line (json escapes every newline in a string).
+    """
+    items = o.values() if isinstance(o, dict) else o if isinstance(o, (list, tuple)) else ()
     inner = nl + "  "
-    if isinstance(o, dict):
-        if not o:
-            yield "{}"
-            return
+    if not items:  # a scalar, {} or []; json's TypeError for anything else
+        yield _json_encoder(",")(o)
+    elif not any(isinstance(v, _CONTAINERS) for v in items):
+        text = _json_encoder("," + inner)(o)
+        yield text[0] + inner + text[1:-1] + nl + text[-1]
+    elif isinstance(o, dict):
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            yield sep + _json_key(k) + ": "
+            yield sep + _json_encoder(",")({k: 0})[1:-4] + ": "  # json spells the key
             yield from _json_chunks(v, inner)
             sep = "," + inner
         yield nl + "}"
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            yield "[]"
-            return
+    else:
         sep = "["
         for start in range(0, len(o), _JSON_BLOCK):
             block = o[start:start + _JSON_BLOCK]
-            rows = _json_rows(block, inner)
-            if rows is None:
-                for item in block:
-                    yield sep + inner
-                    yield from _json_chunks(item, inner)
-                    sep = ","
-            else:
-                for text in rows:
-                    yield sep + text
-                    sep = ","
+            rows = _json_rows(block, inner) or (inner + "".join(_json_chunks(item, inner)) for item in block)
+            for text in rows:
+                yield sep + text
+                sep = ","
         yield nl + "]"
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 _SWEEP_COLUMNS = (
@@ -447,7 +431,7 @@ def _drift_json(cert: DriftCertificate) -> dict:
         "epsilon": report.epsilon,
         "box_radius": report.box_radius,
         "violations_total": report.violations_total,
-        "violations": [list(v) for v in report.violation_set[:1000]],
+        "violations": report.violation_set[:1000],
         "k_bound": report.k_bound,
         "shell_clean": report.shell_clean,
         "small_set_verified": small is not None and small.verified,
@@ -538,11 +522,7 @@ def cmd_ecdf(merged: dict) -> int:
     keyed = {f"{v:.17g}": points for v, points in curves.items()}  # file name = mirror key
     for key, points in keyed.items():
         write_csv(f"{base}_{spec.sweep_name}{key}.csv", ("tau", "cumulative_fraction"), points)
-    mirror = {
-        "spec": _sweep_json(spec, []),
-        "curves": {key: [list(pt) for pt in pts] for key, pts in keyed.items()},
-    }
-    write_json(mirror, base + ".json")
+    write_json({"spec": _sweep_json(spec, []), "curves": keyed}, base + ".json")
     print(f"ecdf: {len(curves)} curves -> {base}_*.csv")
     return EXIT_OK
 

@@ -73,45 +73,37 @@ def c_bounds(a: float, b: float) -> tuple[float, float] | None:
     return c_minus, c_plus
 
 
-# Complex arithmetic on (real, imag) float arrays, done the way the scalar
-# types do it so that the batched solve rounds exactly as np.roots plus a
-# per-root Newton polish does: a float operand is the complex (x, 0.0),
-# products are (ac - bd, ad + bc), quotients follow Smith's method.  The
-# three quotients differ only in rounding, and each matches one scalar type.
+def _newton(a, b, c, x, steps: int):
+    """Newton steps x <- x - P(x) / P'(x) on float64 arrays; a root stops where |P'(x)| < 1e-300."""
+    live = np.ones(x.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # stopped roots
+        for _ in range(steps):
+            dp = (3.0 * x - 2.0 * a) * x - b
+            live &= ~(np.abs(dp) < 1e-300)
+            x = np.where(live, x - (((x - a) * x - b) * x - c) / dp, x)
+    return x
+
+
+# Newton steps for the roots np.roots returns as complex128, on (real, imag)
+# float64 arrays.  numpy's complex128 arrays multiply with other rounding
+# than its complex128 scalars (about 45% of random products differ in the
+# last bit; numpy 2.4, x86-64), so this copies the scalar arithmetic: a
+# float operand is the complex (x, 0.0), products are (ac - bd, ad + bc).
 def _mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _smith(ar, ai, br, bi):
-    """Numerators and denominator of Smith's method for (ar + i ai) / (br + i bi)."""
+def _quot(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) as a complex128 scalar divides: Smith's method times 1/denominator."""
     big = np.abs(br) >= np.abs(bi)
     r1, r2 = bi / br, br / bi
-    denom = np.where(big, br + bi * r1, br * r2 + bi)
-    num_re = np.where(big, ar + ai * r1, ar * r2 + ai)
-    num_im = np.where(big, ai - ar * r1, ai * r2 - ar)
-    return num_re, num_im, denom
+    scale = 1.0 / np.where(big, br + bi * r1, br * r2 + bi)
+    re = np.where(big, ar + ai * r1, ar * r2 + ai)
+    return re * scale, np.where(big, ai - ar * r1, ai * r2 - ar) * scale
 
 
-def _quot_python(ar, ai, br, bi):
-    """Python complex division: Smith's numerators over the denominator."""
-    num_re, num_im, denom = _smith(ar, ai, br, bi)
-    return num_re / denom, num_im / denom
-
-
-def _quot_numpy(ar, ai, br, bi):
-    """numpy complex128 division: Smith's numerators times the reciprocal of the denominator."""
-    num_re, num_im, denom = _smith(ar, ai, br, bi)
-    scale = 1.0 / denom
-    return num_re * scale, num_im * scale
-
-
-def _quot_real(ar, ai, br, bi):
-    """float64 division, for roots whose imaginary parts are all zero."""
-    return ar / br, ai
-
-
-def _polish(a, b, c, re, im, steps: int, quot):
-    """Newton steps x <- x - P(x) / P'(x) on complex arrays; a root stops where |P'(x)| < 1e-300."""
+def _polish(a, b, c, re, im, steps: int):
+    """_newton on complex roots given as real and imaginary parts."""
     live = np.ones(re.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):  # stopped roots and unused branches
         for _ in range(steps):
@@ -121,7 +113,7 @@ def _polish(a, b, c, re, im, steps: int, quot):
             live &= ~(np.hypot(dr, di) < 1e-300)
             pr, pi = _mul(re - a, im, re, im)
             pr, pi = _mul(pr - b, pi, re, im)
-            qr, qi = quot(pr - c, pi, dr, di)
+            qr, qi = _quot(pr - c, pi, dr, di)
             re, im = np.where(live, re - qr, re), np.where(live, im - qi, im)
     return re, im
 
@@ -279,12 +271,13 @@ def cubic_reports(a, b, c) -> CubicReports:
     Disc, the band and the roots are computed for all points at once.  The
     companion eigenvalues (one np.linalg.eigvals call) are the roots
     np.roots would return; they get 3 Newton steps in the arithmetic of
-    the type np.roots returns them in, then the real parts get 5 steps in
-    Python complex arithmetic.  On the band, _multiple_root_candidates
-    rebuilds the repeated root instead, point by point.  alpha_q is the
-    one premise gate of the V_alpha drift: it is set only where Disc < 0
-    and c < 0, off the band.  ValueError names the first point whose
-    coefficients are not finite or where Disc or its band scale overflows.
+    the type np.roots returns them in (float64 where all three are real),
+    then the real parts get 5 float64 steps.  On the band,
+    _multiple_root_candidates rebuilds the repeated root instead, point by
+    point.  alpha_q is the one premise gate of the V_alpha drift: it is set
+    only where Disc < 0 and c < 0, off the band.  ValueError names the
+    first point whose coefficients are not finite or where Disc or its
+    band scale overflows.
     """
     a, b, c = (np.asarray(x, dtype=np.float64) for x in (a, b, c))
     disc = _disc(a, b, c)
@@ -306,10 +299,12 @@ def cubic_reports(a, b, c) -> CubicReports:
         else:
             re[i] = roots.real
     re[solve], im[solve], real = _companion_roots(a[solve], b[solve], c[solve])
-    for sel, quot in ((real, _quot_real), (~real, _quot_numpy)):
-        idx = np.flatnonzero(solve)[sel]
-        if idx.size:
-            re[idx], im[idx] = _polish(a[idx, None], b[idx, None], c[idx, None], re[idx], im[idx], 3, quot)
+    idx = np.flatnonzero(solve)
+    r, z = idx[real], idx[~real]
+    if r.size:  # a polish of no rows still costs its numpy calls, most of a one-point report
+        re[r] = _newton(a[r, None], b[r, None], c[r, None], re[r], 3)
+    if z.size:
+        re[z], im[z] = _polish(a[z, None], b[z, None], c[z, None], re[z], im[z], 3)
     radius = np.hypot(re, im).max(axis=1)
 
     # Where Disc < 0 off the band P has one real root: polish the root
@@ -317,7 +312,7 @@ def cubic_reports(a, b, c) -> CubicReports:
     one = ~on_band & (disc < 0.0)
     nearest = re[np.arange(n), np.argmin(np.abs(im), axis=1)]
     start = np.where(one[:, None], nearest[:, None], re)
-    polished, _ = _polish(a[:, None], b[:, None], c[:, None], start, np.zeros_like(start), 5, _quot_python)
+    polished = _newton(a[:, None], b[:, None], c[:, None], start, 5)
     roots = np.sort(np.where(on_band[:, None], re, polished), axis=1, kind="stable")
     roots[one, 1:] = np.nan
 

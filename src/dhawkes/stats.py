@@ -10,7 +10,9 @@ small significance levels.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 _FPMIN = 1e-300
 _CF_EPS = 1e-15
@@ -165,13 +167,5 @@ def ecdf(samples: list[int]) -> list[tuple[int, float]]:
     if not samples:
         raise ValueError("ecdf requires at least one sample")
     n = len(samples)
-    out: list[tuple[int, float]] = []
-    seen = 0
-    for v in sorted(samples):
-        if out and out[-1][0] == v:
-            seen += 1
-            out[-1] = (v, seen / n)
-        else:
-            seen += 1
-            out.append((v, seen / n))
-    return out
+    values, counts = zip(*sorted(Counter(samples).items()))
+    return [(v, seen / n) for v, seen in zip(values, accumulate(counts))]

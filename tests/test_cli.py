@@ -250,6 +250,30 @@ def test_config_echo_roundtrip(tmp_path, capsys):
     assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["sweep", "--fix", "a=3,c=-15", "--sweep", "b=0"], {"replicas": "10"}),
+    (["sweep", "--fix", "a=3,c=-15", "--sweep", "b=0"], {"jobs": 1.5, "replicas": 300, "horizon": 50}),
+    (["simulate", "-a", "3", "-b", "1", "-c", "-15"], {"seed": 1.5, "length": 5}),
+    (["drift", "-a", "2.5", "-b", "-1", "-c", "-3"], {"radius": "20"}),
+    (["drift", "-a", "2.5", "-b", "-1", "-c", "-3"], {"max_radius": True}),
+    (["classify", "-a", "1", "-b", "1", "-c", "1"], {"lam": "1"}),
+])
+def test_config_value_of_wrong_type_exits_2(argv, config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run([*argv, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("error: config key")
+
+
+def test_config_int_for_float_flag_accepted(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": 1}))
+    code, out, _ = run(["classify", "-a", "2.5", "-b", "-1", "-c", "-3", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert "verdict=ErgodicDiscNegative" in out
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"command": "classify", "bogus": 1}))
@@ -504,6 +528,9 @@ _WRITER_CASES = {
     "number-keys": {1: "int", 2.5: "float", -3: "neg", math.inf: "inf"},
     "bool-keys": {True: 1, False: 0},
     "none-key": {None: [None]},
+    "non-str-keys-over-containers": {2.5: [1, {"b": 2}], -1: {"c": []}, math.inf: [()]},
+    "table-of-awkward-strings": [{"s": "a\nb", "t": 1}, {"s": "%s", "t": 2}, {"s": "%", "t": 3}, {"s": "\n%\n", "t": 4}],
+    "flat-dicts-lists-and-scalars": [{"a": 1, "b": "x"}, [1, "y", None], 2.5, "z", {"c": math.nan}, [], {}, None],
 }
 
 

@@ -129,6 +129,18 @@ def test_ecdf_keeps_sentinel_atom():
     assert points[-2][1] == pytest.approx(3 / 5)
 
 
+def test_ecdf_exact_against_brute_force():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        horizon = int(rng.integers(5, 60))
+        n = int(rng.integers(1, 200))
+        samples = [int(x) for x in rng.integers(1, horizon + 2, size=n)]  # horizon, horizon + 1 atoms
+        samples += [horizon] * int(rng.integers(0, 5)) + [horizon + 1] * int(rng.integers(0, 5))
+        samples = [samples[i] for i in rng.permutation(len(samples))]
+        brute = [(v, sum(x <= v for x in samples) / len(samples)) for v in sorted(set(samples))]
+        assert ecdf(samples) == brute
+
+
 def test_ecdf_empty_raises():
     with pytest.raises(ValueError):
         ecdf([])
