@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -71,12 +71,31 @@ DEFAULTS: dict[str, dict] = {
     },
 }
 
-# The config keys of the int and the float flags.  An int flag's value must
-# be a JSON integer, a float flag's any number; neither takes a bool.
-_INT_KEYS = frozenset(
-    "p horizon threshold seed length replica replicas jobs want prefix cap radius max_radius".split()
-)
-_FLOAT_KEYS = frozenset("a b c lam alpha step".split())
+
+# The JSON shape of a non-null config value, by key.  JSON loads a bool as
+# bool, which is never taken for a number.
+def _is_number(v: object) -> bool:
+    return type(v) in (int, float)
+
+
+def _is_numbers(v: object) -> bool:
+    return type(v) is list and all(map(_is_number, v))
+
+
+_CONFIG_SHAPES: dict[str, tuple[Callable[[object], bool], str]] = {
+    **dict.fromkeys(
+        "p horizon threshold seed length replica replicas jobs want prefix cap radius max_radius".split(),
+        (lambda v: type(v) is int, "an integer"),
+    ),
+    **dict.fromkeys("a b c lam alpha step".split(), (_is_number, "a number")),
+    "out": (lambda v: type(v) is str, "a string"),
+    "fix": (lambda v: type(v) is dict and all(map(_is_number, v.values())), "an object of numbers"),
+    "sweep": (lambda v: type(v) is list and len(v) == 2 and type(v[0]) is str and _is_numbers(v[1]),
+              "[name, [numbers]]"),
+    "a_values": (_is_numbers, "an array of numbers"),
+    "coeffs": (_is_numbers, "an array of numbers"),
+    **dict.fromkeys(("b_range", "c_range"), (lambda v: _is_numbers(v) and len(v) == 2, "[number, number]")),
+}
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -219,11 +238,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         for key, val in loaded.items():
             if val is None and merged[key] is not None:
                 raise ValueError(f"config key {key!r} must not be null")
-            kinds = int if key in _INT_KEYS else (int, float) if key in _FLOAT_KEYS else None
-            if kinds and val is not None and (isinstance(val, bool) or not isinstance(val, kinds)):
-                noun = "an integer" if kinds is int else "a number"
+            shape, noun = _CONFIG_SHAPES[key]
+            if val is not None and not shape(val):
                 raise ValueError(f"config key {key!r} must be {noun}, got {val!r}")
-            if key == "sweep" and isinstance(val, list):
+            if key == "sweep" and val is not None:
                 val = (val[0], [float(v) for v in val[1]])
             merged[key] = val
     if "seed" in merged and os.environ.get("HAWKES_SEED"):
@@ -391,7 +409,7 @@ _SWEEP_COLUMNS = (
     "swept_value", "exploded", "N", "proportion", "ci_lower", "ci_upper", "mean_tau_returned",
     "censored",
 )
-_GRID_COLUMNS = tuple(f.name for f in fields(GridCell))
+_GRID_COLUMNS = GridCell._fields
 
 
 def _sweep_record(r: SweepRow) -> tuple:
@@ -401,11 +419,7 @@ def _sweep_record(r: SweepRow) -> tuple:
     )
 
 
-def _grid_record(g: GridCell) -> tuple:
-    return tuple(getattr(g, name) for name in _GRID_COLUMNS)
-
-
-def _mirror(columns: tuple[str, ...], records: list[tuple]) -> list[dict]:
+def _mirror(columns: tuple[str, ...], records: Sequence[tuple]) -> list[dict]:
     """JSON rows of a CSV table: one object per record, keyed by column."""
     return [dict(zip(columns, rec)) for rec in records]
 
@@ -593,9 +607,8 @@ def cmd_grid(merged: dict) -> int:
         merged["lam"],
     )
     base = (merged["out"] or "grid").removesuffix(".csv")
-    records = [_grid_record(g) for g in cells]
-    write_csv(base + ".csv", _GRID_COLUMNS, records)
-    write_json({"cells": _mirror(_GRID_COLUMNS, records)}, base + ".json")
+    write_csv(base + ".csv", _GRID_COLUMNS, cells)
+    write_json({"cells": _mirror(_GRID_COLUMNS, cells)}, base + ".json")
     print(f"grid: {len(cells)} cells -> {base}.csv")
     return EXIT_OK
 

@@ -21,6 +21,7 @@ the finite-violation-set evidence the ergodicity argument needs.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,16 +72,12 @@ def linear_weights(params: Params) -> list[float]:
     Requires the positive parts to sum below 1.  alpha_1 = 1 always, and
     each weight lies in (0, 1].
     """
-    return _weights_from([max(x, 0.0) for x in params.coeffs])
-
-
-def _weights_from(plus: list[float]) -> list[float]:
+    plus = [max(x, 0.0) for x in params.coeffs]
     eta = 1.0 - sum(plus)
     if eta <= 0.0:
         raise ValueError(f"positive parts must sum below 1, got {sum(plus)}")
     p = len(plus)
-    tails = [sum(plus[i:]) for i in range(p)]
-    return [eta * (p - i) / p + tails[i] for i in range(p)]
+    return [eta * (p - i) / p + sum(plus[i:]) for i in range(p)]
 
 
 def linear_drift_coeffs(params: Params, epsilon: float) -> list[float]:
@@ -90,16 +87,25 @@ def linear_drift_coeffs(params: Params, epsilon: float) -> list[float]:
     all are strictly negative iff eps < eta/p, which is what makes the
     violation set finite.
     """
-    return _linear_coeffs(params, epsilon)[1]
+    alphas = linear_weights(params) + [0.0]
+    return [
+        max(a_i, 0.0) + alphas[i + 1] + alphas[i] * (epsilon - 1.0)
+        for i, a_i in enumerate(params.coeffs)
+    ]
 
 
-def _linear_coeffs(params: Params, epsilon: float) -> tuple[list[float], list[float], list[float]]:
-    """Positive parts, then the bound and the exact coefficients of x_i, from one set of weights."""
-    plus = [max(x, 0.0) for x in params.coeffs]
-    alphas = _weights_from(plus) + [0.0]
-    bound = [plus[i] + alphas[i + 1] + alphas[i] * (epsilon - 1.0) for i in range(params.p)]
+def _linear_delta_v(params: Params, epsilon: float) -> Callable[[State], float]:
+    """linear_delta_v at fixed params and epsilon, its coefficients worked out once."""
+    alphas = linear_weights(params) + [0.0]
     exact = [alphas[i + 1] + alphas[i] * (epsilon - 1.0) for i in range(params.p)]
-    return plus, bound, exact
+
+    def delta_v(state: State) -> float:
+        val = intensity(params, state) + epsilon
+        for coeff, x_i in zip(exact, state):
+            val += coeff * x_i
+        return val
+
+    return delta_v
 
 
 def linear_delta_v(params: Params, state: State, epsilon: float) -> float:
@@ -109,13 +115,7 @@ def linear_delta_v(params: Params, state: State, epsilon: float) -> float:
     alpha_i x_{i-1} + 1 with s the clipped intensity, so the value is
     s + sum_i (alpha_{i+1} + alpha_i (eps-1)) x_i + eps.
     """
-    check_state(state, params.p)
-    alphas = linear_weights(params) + [0.0]
-    s = intensity(params, state)
-    val = s + epsilon
-    for i, x_i in enumerate(state):
-        val += (alphas[i + 1] + alphas[i] * (epsilon - 1.0)) * x_i
-    return val
+    return _linear_delta_v(params, epsilon)(state)
 
 
 def linear_drift_scan(params: Params, epsilon: float, box_radius: int) -> DriftReport:
@@ -124,22 +124,19 @@ def linear_drift_scan(params: Params, epsilon: float, box_radius: int) -> DriftR
     Only candidate states where the affine bound is positive need
     checking: the bound dominates the exact drift, and its coefficients
     are strictly negative, so candidates live in a simplex near the
-    origin.  Violations are then confirmed against the exact value.  A
-    clean shell certifies the violation set is finite (it is complete
-    whenever the simplex fits inside the box); the set being finite makes
-    it small by irreducibility.
+    origin.  Violations are then confirmed against linear_delta_v's exact
+    value.  A clean shell certifies the violation set is finite (it is
+    complete whenever the simplex fits inside the box); the set being
+    finite makes it small by irreducibility.
     """
     if box_radius < 0:
         raise ValueError(f"box_radius must be >= 0, got {box_radius}")
-    plus, bound_coeffs, exact_coeffs = _linear_coeffs(params, epsilon)
+    bound_coeffs = linear_drift_coeffs(params, epsilon)
     if any(cb >= 0.0 for cb in bound_coeffs):
-        eta = 1.0 - sum(plus)
-        raise ValueError(
-            f"epsilon={epsilon} too large: need epsilon < eta/p = {eta / params.p}"
-        )
+        eta = 1.0 - params.positive_sum
+        raise ValueError(f"epsilon={epsilon} too large: need epsilon < eta/p = {eta / params.p}")
+    delta_v = _linear_delta_v(params, epsilon)
     budget = epsilon + params.lam
-    coeffs = params.coeffs
-    lam = params.lam
     p = params.p
 
     violations: list[State] = []
@@ -151,11 +148,7 @@ def linear_drift_scan(params: Params, epsilon: float, box_radius: int) -> DriftR
     def rec(idx: int, used: float) -> None:
         nonlocal k_bound, total, shell_clean
         if idx == p:
-            s = lam + sum(a_i * x_i for a_i, x_i in zip(coeffs, prefix))
-            s = s if s > 0.0 else 0.0
-            val = s + epsilon + sum(
-                ec * x_i for ec, x_i in zip(exact_coeffs, prefix)
-            )
+            val = delta_v(prefix)
             if val > 0.0:
                 total += 1
                 if total <= MAX_RECORDED_VIOLATIONS:

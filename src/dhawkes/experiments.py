@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
@@ -38,6 +41,8 @@ GALLERY_REPLICA_CAP = 10_000_000
 
 # Cells classified per classify_p3 call in disc_grid, which bounds its working memory.
 GRID_CHUNK = 1 << 16
+
+_T = TypeVar("_T")
 
 
 def _splitmix64(x: int) -> int:
@@ -120,19 +125,15 @@ def _workers(jobs: int | None, n_replicas: int) -> int:
 _KINDS = tuple(ExcursionKind)
 
 
-def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> tuple[bytes, list[int], list[int]]:
+def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
     """Outcomes of one replica range as columns: kind codes, steps, peaks.
 
     Peaks stay Python ints: a count above the threshold is followed up to
     1e300 and would overflow any fixed-width integer array.
     """
     params, cfg, start, stop = payload
-    outcomes = [run_excursion(params, cfg, r) for r in range(start, stop)]
-    return (
-        bytes(_KINDS.index(o.kind) for o in outcomes),
-        [o.steps for o in outcomes],
-        [o.peak for o in outcomes],
-    )
+    kinds, steps, peaks = zip(*(run_excursion(params, cfg, r) for r in range(start, stop)))
+    return bytes(map(_KINDS.index, kinds)), steps, peaks
 
 
 def run_excursions(
@@ -166,46 +167,39 @@ def run_excursions(
     return outcomes
 
 
-def _sweep_pool(spec: SweepSpec) -> AbstractContextManager[ProcessPoolExecutor | None]:
-    """One pool for every point of the sweep, or None when its points run serially.
+def _per_point(spec: SweepSpec, reduce: Callable[[float, list[ExcursionOutcome]], _T]) -> list[_T]:
+    """reduce(value, outcomes) for each swept value, all points run on one pool.
 
-    The pool's workers have exited when the block is left, so their CPU
-    time and memory are accounted to this process's reaped children.
+    The pool's workers have exited when this returns or raises, so their
+    CPU time and memory are accounted to this process's reaped children.
     """
     workers = _workers(spec.jobs, spec.replicas)
-    return nullcontext() if workers == 1 else ProcessPoolExecutor(workers)
-
-
-def _point_config(spec: SweepSpec, point_index: int) -> SimConfig:
-    return replace(
-        spec.sim, master_seed=derive_point_seed(spec.sim.master_seed, point_index)
-    )
+    seed = spec.sim.master_seed
+    with nullcontext() if workers == 1 else ProcessPoolExecutor(workers) as pool:
+        return [
+            reduce(value, run_excursions(
+                spec.params_at(value), replace(spec.sim, master_seed=derive_point_seed(seed, idx)),
+                spec.replicas, spec.jobs, pool=pool,
+            ))
+            for idx, value in enumerate(spec.values)
+        ]
 
 
 def sweep_explosion(spec: SweepSpec) -> list[SweepRow]:
     """Explosion proportion with exact confidence interval per swept value."""
-    rows = []
-    with _sweep_pool(spec) as pool:
-        for idx, value in enumerate(spec.values):
-            params = spec.params_at(value)
-            outcomes = run_excursions(
-                params, _point_config(spec, idx), spec.replicas, spec.jobs, pool=pool
-            )
-            exploded = sum(1 for o in outcomes if o.kind is ExcursionKind.EXPLODED)
-            censored = sum(1 for o in outcomes if o.kind is ExcursionKind.CENSORED)
-            returned = [o.steps for o in outcomes if o.kind is ExcursionKind.RETURNED]
-            rows.append(
-                SweepRow(
-                    value=value,
-                    exploded=exploded,
-                    replicas=spec.replicas,
-                    proportion=exploded / spec.replicas,
-                    interval=clopper_pearson(exploded, spec.replicas, spec.alpha),
-                    mean_tau_returned=sum(returned) / len(returned) if returned else None,
-                    censored=censored,
-                )
-            )
-    return rows
+
+    def row(value: float, outcomes: list[ExcursionOutcome]) -> SweepRow:
+        kinds = Counter(o.kind for o in outcomes)
+        exploded, n = kinds[ExcursionKind.EXPLODED], spec.replicas
+        returned = [o.steps for o in outcomes if o.kind is ExcursionKind.RETURNED]
+        return SweepRow(
+            value=value, exploded=exploded, replicas=n, proportion=exploded / n,
+            interval=clopper_pearson(exploded, n, spec.alpha),
+            mean_tau_returned=sum(returned) / len(returned) if returned else None,
+            censored=kinds[ExcursionKind.CENSORED],
+        )
+
+    return _per_point(spec, row)
 
 
 def tau_cdf_experiment(spec: SweepSpec) -> dict[float, list[tuple[int, float]]]:
@@ -214,15 +208,8 @@ def tau_cdf_experiment(spec: SweepSpec) -> dict[float, list[tuple[int, float]]]:
     Exploded excursions carry the sentinel horizon+1 and appear as a
     final atom; censored ones sit at the horizon itself.
     """
-    out: dict[float, list[tuple[int, float]]] = {}
-    with _sweep_pool(spec) as pool:
-        for idx, value in enumerate(spec.values):
-            params = spec.params_at(value)
-            outcomes = run_excursions(
-                params, _point_config(spec, idx), spec.replicas, spec.jobs, pool=pool
-            )
-            out[value] = ecdf([o.steps for o in outcomes])
-    return out
+    curves = _per_point(spec, lambda value, outcomes: (value, ecdf([o.steps for o in outcomes])))
+    return dict(curves)
 
 
 @dataclass(frozen=True)
@@ -277,8 +264,7 @@ def exploding_gallery(
     )
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     a: float
     b: float
     c: float

@@ -36,6 +36,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from numpy.random import Generator, Philox
 
@@ -82,8 +83,7 @@ class SimConfig:
             object.__setattr__(self, "initial_state", tuple(self.initial_state))
 
 
-@dataclass(frozen=True)
-class ExcursionOutcome:
+class ExcursionOutcome(NamedTuple):
     """Fate of one excursion: kind, step count (with sentinel), peak count seen."""
 
     kind: ExcursionKind

@@ -257,6 +257,13 @@ def test_config_echo_roundtrip(tmp_path, capsys):
     (["drift", "-a", "2.5", "-b", "-1", "-c", "-3"], {"radius": "20"}),
     (["drift", "-a", "2.5", "-b", "-1", "-c", "-3"], {"max_radius": True}),
     (["classify", "-a", "1", "-b", "1", "-c", "1"], {"lam": "1"}),
+    (["grid", "--a-values", "0.5", "--b-range=-1:0", "--c-range=-1:0", "--step", "0.5"], {"out": 5}),
+    (["grid", "--b-range=-1:0", "--c-range=-1:0", "--step", "0.5"], {"a_values": 0.5}),
+    (["grid", "--a-values", "0.5", "--c-range=-1:0", "--step", "0.5"], {"b_range": "-1:0"}),
+    (["grid", "--a-values", "0.5", "--c-range=-1:0", "--step", "0.5"], {"b_range": [0]}),
+    (["sweep", "--sweep", "b=0", "--replicas", "10"], {"fix": "a=3,c=-15"}),
+    (["sweep", "--fix", "a=3,c=-15", "--replicas", "10"], {"sweep": ["b", 0.5]}),
+    (["classify"], {"coeffs": 0.5}),
 ])
 def test_config_value_of_wrong_type_exits_2(argv, config, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

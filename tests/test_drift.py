@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -106,6 +107,27 @@ def test_linear_drift_scan_finite_violations_clean_shell():
     for state in report.violation_set[:50]:
         assert linear_delta_v(params, state, eps) > 0.0
     assert report.k_bound >= linear_delta_v(params, (0, 0, 0), eps) - 1e-12
+
+
+def test_linear_drift_scan_agrees_exactly_with_linear_delta_v():
+    rng = np.random.default_rng(14)
+    checked = 0
+    for _ in range(40):
+        p = int(rng.integers(1, 6))
+        coeffs = tuple(float(x) for x in rng.uniform(-2.0, 0.9 / p, size=p))
+        params = Params(p=p, coeffs=coeffs, lam=float(rng.uniform(0.5, 3.0)))
+        eps = (1.0 - params.positive_sum) / (2 * p)
+        report = linear_drift_scan(params, eps, 15)
+        if report.violations_total != len(report.violation_set):
+            continue  # not every violation recorded
+        values = [linear_delta_v(params, state, eps) for state in report.violation_set]
+        assert all(v > 0.0 for v in values)
+        assert report.k_bound == max(values)
+        if p <= 3:  # and no state of the box with a positive drift is missed
+            box = itertools.product(range(16), repeat=p)
+            assert set(report.violation_set) == {x for x in box if linear_delta_v(params, x, eps) > 0.0}
+        checked += 1
+    assert checked >= 30
 
 
 def test_linear_drift_scan_rejects_oversized_epsilon():

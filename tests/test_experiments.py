@@ -131,6 +131,23 @@ def test_sweep_command_opens_one_pool_and_closes_it(command, monkeypatch):
     assert _CountedPool.opened == 2
     assert multiprocessing.active_children() == []
 
+    # the parent's own per-point step raises after the first point
+    name = "clopper_pearson" if command is sweep_explosion else "ecdf"
+    real, calls = getattr(experiments, name), []
+
+    def fails_after_first_point(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise RuntimeError("parent step failed")
+        return real(*args)
+
+    monkeypatch.setattr(experiments, name, fails_after_first_point)
+    monkeypatch.setattr(_CountedPool, "opened", 0)
+    with pytest.raises(RuntimeError, match="parent step failed"):
+        command(spec_at([0.0, 2.0, 4.0], replicas=600, jobs=2))
+    assert _CountedPool.opened == 1
+    assert multiprocessing.active_children() == []
+
 
 def test_interval_narrows_with_more_replicas():
     wide = sweep_explosion(spec_at([3.0], replicas=300))[0]
