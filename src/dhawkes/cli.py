@@ -443,6 +443,7 @@ def _drift_json(cert: DriftCertificate) -> dict:
     return {
         "alpha": cert.cubic.alpha_q,
         "epsilon": report.epsilon,
+        "epsilon_margin": cert.epsilon_margin,
         "box_radius": report.box_radius,
         "violations_total": report.violations_total,
         "violations": report.violation_set[:1000],
@@ -576,6 +577,7 @@ def cmd_drift(merged: dict) -> int:
     print(f"r_at_alpha_q={_fmt(cert.cubic.r_at_alpha_q)}")
     print(f"k_at_alpha_q={_fmt(cert.cubic.k_at_alpha_q)}")
     print(f"epsilon={_fmt(cert.report.epsilon)}")
+    print(f"epsilon_margin={_fmt(cert.epsilon_margin)}")
     print(f"violations={cert.report.violations_total} (radius {cert.report.box_radius})")
     print(f"shell_clean={cert.report.shell_clean}")
     print(f"k_bound={_fmt(cert.report.k_bound)}")

@@ -13,9 +13,18 @@ Two families are checked on finite boxes of the state space:
   checks run as evidence, never as a certificate.
 
 Both drifts admit closed-form one-step expectations (the count is
-Poisson, V is affine in the new coordinate), so no sampling is involved:
-a scan is an exact enumeration, and a violation-free boundary shell is
-the finite-violation-set evidence the ergodicity argument needs.
+Poisson, V is affine in the new coordinate), so no sampling is involved,
+and a violation-free boundary shell is the finite-violation-set evidence
+the ergodicity argument needs.  A scan accounts for every state of its
+box: each is either evaluated with the scan's own arithmetic or cleared
+by a rigorous bound.  For V_alpha the bound is taken on blocks
+[i0, i1] x [j0, j1] x [k0, k1], with s_hi the largest a*i + b*j + c*k + lam
+on the block:
+
+    Delta V + eps*V <= (max(s_hi, 0) + alpha*i1)/(i0 + alpha*j0 + 1)
+                       - (1 - eps)(i0 + alpha*j0)/(j1 + alpha*k1 + 1) + eps,
+
+and at clipped states the first term is at most alpha*i1/(i1 + alpha*j0 + 1).
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .model import Params, State, check_state, intensity
 
 MAX_RECORDED_VIOLATIONS = 100_000
 Q_GRID_DENSITY = 19  # q_form_negativity_check's directions: compositions of 19 (210 of them)
+BLOCK = 4  # edge of the cubes of states scan_violations bounds at once
 EPSILONS = tuple(2.0**-k for k in range(1, 21))  # the certificate's epsilon grid, largest first
 
 
@@ -269,15 +279,61 @@ def _i_terms(params3: Params, alpha: float, i, jk: tuple, out: tuple[np.ndarray,
     return in_a, dv, ratio
 
 
+def _block_bounds(params3: Params, alpha: float, epsilon: float, i, j, k) -> tuple:
+    """Bounds of the scan's quantities on the blocks of states [i0, i1] x [j0, j1] x [k0, k1].
+
+    i, j and k are (lo, hi) pairs of integers or integer arrays that
+    broadcast together.  Returns (s_lo, s_hi, ub, ub_clip): the raw
+    intensity s = a*i + b*j + c*k + lam lies in [s_lo, s_hi] on a block;
+    Delta V + eps*V = (s+ + alpha*i)/(i + alpha*j + 1) - (1 - eps)(i + alpha*j)/(j + alpha*k + 1) + eps
+    is at most ub at each of its states, and at most ub_clip at each state
+    where s <= 0, whose first term is alpha*i/(i + alpha*j + 1).  Each
+    term takes its largest numerator over its smallest denominator, so
+    these hold in exact arithmetic; _scan_tolerance covers the rounding.
+    """
+    a, b, c = params3.abc
+    (i0, i1), (j0, j1), (k0, k1) = i, j, k
+    ai, bj, ck = (a * i0, a * i1), (b * j0, b * j1), (c * k0, c * k1)
+    s_lo = params3.lam + np.minimum(*ai) + np.minimum(*bj) + np.minimum(*ck)
+    s_hi = params3.lam + np.maximum(*ai) + np.maximum(*bj) + np.maximum(*ck)
+    rest = epsilon - (1.0 - epsilon) * (i0 + alpha * j0) / (1.0 + j1 + alpha * k1)
+    ub = (np.maximum(s_hi, 0.0) + alpha * i1) / (i0 + alpha * j0 + 1.0) + rest
+    ub_clip = alpha * i1 / (i1 + alpha * j0 + 1.0) + rest
+    return s_lo, s_hi, ub, ub_clip
+
+
+def _scan_tolerance(params3: Params, alpha: float, box_radius: int) -> float:
+    """Slack that covers every rounding of _block_bounds and of _i_terms in the cube.
+
+    In [0, r]^3 each term of s is at most |a|r, |b|r, |c|r or lam, and
+    the two ratios of Delta V + eps*V are at most lam + (|a| + |b| + |c| + alpha)r
+    and (1 + alpha)r, so every sum in either computation is at most
+    1 + lam + (|a| + |b| + |c| + 1 + 2*alpha)r.  Each value is a handful of
+    roundings of such sums, so it is off by less than 2^-45 of that from
+    its exact value; the slack is 2^-30 of it.
+    """
+    a, b, c = params3.abc
+    return 2.0**-30 * (1.0 + params3.lam + box_radius * (abs(a) + abs(b) + abs(c) + 1.0 + 2.0 * alpha))
+
+
 def scan_violations(
     params3: Params, alpha: float, epsilon: float, box_radius: int
 ) -> DriftReport:
-    """Exhaustive drift check of V_alpha over [0, box_radius]^3.
+    """Drift check of V_alpha over every state of [0, box_radius]^3.
 
     States where the intensity clips to zero belong to the candidate
     small set and are excluded from the violation count but contribute
     to the K bound.  A violation on the outermost shell means the box
     was too small to witness finiteness; that is flagged, not hidden.
+
+    The cube is taken in BLOCK^3 blocks, in increasing i.  A block is
+    cleared, not evaluated, when _block_bounds shows, with
+    _scan_tolerance to spare, that none of its states violates
+    (s_hi <= 0 or ub < 0) and none of its clipped states exceeds the K of
+    the states evaluated before it (s_lo > 0 or ub_clip < K).  K only
+    grows, so a cleared state could not have changed the report.  Every
+    other state gets _i_terms' arithmetic, and the report is the one a
+    scan of every state gives, bit for bit.
     """
     if params3.p != 3:
         raise ValueError(f"requires p=3, got p={params3.p}")
@@ -288,63 +344,79 @@ def scan_violations(
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     r = box_radius
-    axis = np.arange(r + 1, dtype=np.float64)
-    # once per scan, each slice only adds its i; full planes, as a broadcast column is slower per slice
-    jk = _jk_terms(params3, alpha, *np.meshgrid(axis, axis, indexing="ij"))
-    out = _buffers((r + 1, r + 1))
-    bad, counted = np.empty((2, r + 1, r + 1), dtype=bool)
+    n = r + 1
+    lo = np.arange(0, n, BLOCK)
+    hi = np.minimum(lo + BLOCK - 1, r)
+    j, k = (lo[:, None], hi[:, None]), (lo, hi)  # the (j, k) blocks, as a grid
+    edge = lo[:, None] + np.arange(BLOCK)  # each block's coordinates along an axis, past r in the last one
+    jj, kk = edge[:, None, :, None], edge[None, :, None, :]
+    # the flat (j, k) index of each block's states, -1 outside the box
+    members = np.where((jj <= r) & (kk <= r), jj * n + kk, -1).reshape(len(lo), len(lo), -1)
+    tol = _scan_tolerance(params3, alpha, r)
 
     violations: list[State] = []
     total = 0
-    k_bound = -math.inf
+    k_bound = params3.lam + epsilon  # the origin's value, by _i_terms' arithmetic; it always violates
     shell_clean = True
-    for i in range(r + 1):
-        in_a, dvev, v = _i_terms(params3, alpha, i, jk, out)
-        v *= epsilon
-        dvev += v  # Delta V + eps*V
-        np.greater(dvev, 0.0, out=bad)
-        np.logical_or(bad, in_a, out=counted)  # the states K bounds
-        k_bound = max(k_bound, float(np.max(dvev, initial=-math.inf, where=counted)))
-        bad &= ~in_a
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad:
-            total += n_bad
-            coords = np.argwhere(bad)
-            if i == r or (coords == r).any():
-                shell_clean = False
-            room = MAX_RECORDED_VIOLATIONS - len(violations)
-            if room > 0:
-                for j_, k_ in coords[:room]:
-                    violations.append((i, int(j_), int(k_)))
+    for i0 in range(0, n, BLOCK):
+        i1 = min(i0 + BLOCK - 1, r)
+        s_lo, s_hi, ub, ub_clip = _block_bounds(params3, alpha, epsilon, (i0, i1), j, k)
+        # evaluated unless the bounds clear both the unclipped and the clipped states of the block
+        live = (s_hi > -tol) & (ub >= -tol)
+        live |= (s_lo <= tol) & (ub_clip >= k_bound - tol)
+        flat = members[live]
+        flat = flat[flat >= 0]  # in block order
+        jk = _jk_terms(params3, alpha, *np.divmod(flat, n))
+        out = _buffers(flat.shape)
+        for i in range(i0, i1 + 1):
+            in_a, dvev, v = _i_terms(params3, alpha, i, jk, out)
+            v *= epsilon
+            dvev += v  # Delta V + eps*V
+            bad = dvev > 0.0
+            k_bound = max(k_bound, float(np.max(dvev, initial=-math.inf, where=bad | in_a)))
+            bad &= ~in_a
+            hits = flat[bad]
+            if hits.size:
+                total += hits.size
+                j_, k_ = np.divmod(np.sort(hits), n)  # (j, k) order
+                if i == r or (j_ == r).any() or (k_ == r).any():
+                    shell_clean = False
+                room = max(MAX_RECORDED_VIOLATIONS - len(violations), 0)
+                violations += ((i, y, z) for y, z in zip(j_[:room].tolist(), k_[:room].tolist()))
     return DriftReport(
         epsilon=epsilon,
         violation_set=tuple(violations),
         violations_total=total,
-        k_bound=k_bound if math.isfinite(k_bound) else 0.0,
+        k_bound=k_bound,
         box_radius=box_radius,
         shell_clean=shell_clean,
     )
 
 
-def _shell_epsilon(params3: Params, alpha: float, r: int) -> float | None:
-    """Largest epsilon of EPSILONS with no violation on the shell max(i, j, k) = r.
+def _shell_epsilon(params3: Params, alpha: float, r: int) -> tuple[float, float] | None:
+    """Largest epsilon of EPSILONS with no violation on the shell max(i, j, k) = r, and its margin.
 
     The shell is three faces: i = r; i < r, j = r; i, j < r, k = r.  As
     V_alpha >= 1, Delta V + eps*V only grows with eps, so a face clean at
     one grid value is clean at every smaller one and the search never
-    steps back.  None when no grid value is clean.
+    steps back.  The margin is how far eps may grow, up to 1, with the
+    shell still clean: the least -Delta V/V over the unclipped shell
+    states, capped at 1, minus eps.  None when no grid value is clean.
     """
     axis = np.arange(r + 1, dtype=np.float64)
     inner = axis[:-1, None]
     faces = ((r, axis[:, None], axis), (inner, r, axis), (inner, axis[:-1], r))
     idx = 0
+    largest = 1.0
     for i, j, k in faces:
         out = _buffers(np.broadcast_shapes(*map(np.shape, (i, j, k))))
         in_a, dv, v = _i_terms(params3, alpha, i, _jk_terms(params3, alpha, j, k), out)
         dv, v = dv[~in_a], v[~in_a]
         while idx < len(EPSILONS) and (dv + EPSILONS[idx] * v > 0.0).any():
             idx += 1
-    return EPSILONS[idx] if idx < len(EPSILONS) else None
+        dv /= v  # in place: -Delta V/V is the largest epsilon that keeps a state clean
+        largest = min(largest, -float(np.max(dv, initial=-1.0)))
+    return (EPSILONS[idx], largest - EPSILONS[idx]) if idx < len(EPSILONS) else None
 
 
 def small_set_applicable(params3: Params) -> bool:
@@ -413,7 +485,9 @@ def verify_small_set(params3: Params, box_radius: int) -> SmallSetCheck:
 class DriftCertificate:
     """Machine-checked premises of geometric ergodicity for one parameter triple.
 
-    alpha is cubic.alpha_q and epsilon is report.epsilon.
+    alpha is cubic.alpha_q and epsilon is report.epsilon; epsilon_margin
+    is how much larger epsilon could be, up to 1, with the boundary shell
+    still clean.
     small_set is None outside the theorem's hypothesis b < 0: there the
     scan and the q-form check are evidence, and the certificate is never
     complete.
@@ -421,6 +495,7 @@ class DriftCertificate:
 
     cubic: CubicReport
     report: DriftReport
+    epsilon_margin: float
     small_set: SmallSetCheck | None
     q_max_on_octant: float
     det_identity_residual: float
@@ -458,13 +533,15 @@ def certify_drift(
     if alpha is None:
         raise ValueError("drift construction needs Disc < 0 and c < 0, off the Disc = 0 band")
     radius = box_radius
-    while (eps := _shell_epsilon(params3, alpha, radius)) is None:
+    while (shell := _shell_epsilon(params3, alpha, radius)) is None:
         if radius >= max_radius:
             raise RuntimeError(f"no epsilon in the grid yields a clean shell up to radius {radius}")
         radius = min(2 * radius, max_radius)
+    eps, margin = shell
     return DriftCertificate(
         cubic=cubic,
         report=scan_violations(params3, alpha, eps, radius),
+        epsilon_margin=margin,
         small_set=verify_small_set(params3, radius) if b < 0.0 else None,
         q_max_on_octant=q_form_negativity_check(cubic),
         det_identity_residual=det_m_alpha_identity_check(a, b, c, alpha),

@@ -303,10 +303,10 @@ def run_excursion(params: Params, cfg: SimConfig, replica_index: int) -> Excursi
         for n in range(1, horizon + 1):
             # model.intensity's summation order, so run_trajectory replays this exactly
             s = lam + a * i + b * j + c * k
-            d = int(pois(s)) if s > 0.0 else 0
-            if d > m:
-                return _follow(params, cfg, rng, (d, i, j), n, max(peak, d))
-            if d > peak:
+            d = pois(s) if s > 0.0 else 0  # a Python int
+            if d > peak:  # peak <= m here, so only a new peak can cross the threshold
+                if d > m:
+                    return _follow(params, cfg, rng, (d, i, j), n, d)
                 peak = d
             k, j, i = j, i, d
             if i == 0 and j == 0 and k == 0:
@@ -320,14 +320,14 @@ def run_excursion(params: Params, cfg: SimConfig, replica_index: int) -> Excursi
         s = lam
         for a_i, x_i in zip(coeffs, state):
             s += a_i * x_i
-        d = int(pois(s)) if s > 0.0 else 0
-        if d > m:
-            return _follow(params, cfg, rng, (d, *state[:-1]), n, max(peak, d))
+        d = pois(s) if s > 0.0 else 0
         if d > peak:
+            if d > m:
+                return _follow(params, cfg, rng, (d, *state[:-1]), n, d)
             peak = d
         state.pop()
         state.insert(0, d)
-        if not any(state):
+        if not d and not any(state):
             return ExcursionOutcome(ExcursionKind.RETURNED, n, peak)
     return ExcursionOutcome(ExcursionKind.CENSORED, horizon, peak)
 

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -560,3 +561,108 @@ def test_certificates_across_the_inhibition_region():
         assert cert.complete, (a, b, c)
         assert cert.small_set.verified
         done += 1
+
+
+def _exact_drift(params3, alpha, epsilon, state):
+    """Delta V + eps*V and the raw intensity s at a state, in exact rational arithmetic."""
+    a, b, c, lam, al, eps = map(Fraction, (*params3.abc, params3.lam, alpha, epsilon))
+    i, j, k = state
+    s = a * i + b * j + c * k + lam
+    return (max(s, 0) + al * i) / (i + al * j + 1) - (1 - eps) * (i + al * j) / (j + al * k + 1) + eps, s
+
+
+def test_block_bounds_cover_every_state_of_a_block():
+    # at random alpha_q points, each block's s range, ub and ub_clip hold (with the scan's tolerance
+    # to spare) for the exact values and for the values _i_terms computes, which the scan compares
+    rng = np.random.default_rng(50)
+    blocks = {"unclipped": 0, "clipped": 0}
+    while min(blocks.values()) < 200:
+        a, b, c = rng.uniform(-3, 3), rng.uniform(-3, 1.5), rng.uniform(-6, -0.1)
+        alpha = cubic_report(a, b, c).alpha_q
+        if alpha is None:
+            continue
+        params = Params.p3(a, b, c, rng.uniform(0.1, 3.0))
+        epsilon, r = rng.uniform(0.01, 1.0), 200
+        tol = Fraction(drift._scan_tolerance(params, alpha, r))
+        # blocks anywhere, near the origin, where the denominators are small, and across the
+        # clipping plane s = 0, where the scan evaluates the most states
+        lo = rng.integers(0, rng.choice([8, r + 1]), size=3)
+        if rng.random() < 0.4:
+            k_plane = (a * lo[0] + b * lo[1] + params.lam) / -c
+            lo[2] = min(max(int(k_plane) - int(rng.integers(0, 4)), 0), r)
+        hi = np.minimum(lo + rng.choice([0, 1, 3], size=3), r)
+        (i0, i1), (j0, j1), (k0, k1) = zip(lo.tolist(), hi.tolist())
+        s_lo, s_hi, ub, ub_clip = drift._block_bounds(params, alpha, epsilon, (i0, i1), (j0, j1), (k0, k1))
+        ii, jj, kk = (np.arange(x, y + 1, dtype=np.float64) for x, y in ((i0, i1), (j0, j1), (k0, k1)))
+        shape = (len(ii), len(jj), len(kk))
+        jk = drift._jk_terms(params, alpha, jj[:, None], kk)
+        in_a, dv, v = drift._i_terms(params, alpha, ii[:, None, None], jk, drift._buffers(shape))
+        dv += epsilon * v
+        for (x, y, z), clipped, computed in zip(np.ndindex(shape), in_a.ravel(), dv.ravel()):
+            state = (i0 + x, j0 + y, k0 + z)
+            exact, s = _exact_drift(params, alpha, epsilon, state)
+            assert Fraction(s_lo) - tol < s <= Fraction(s_hi) + tol
+            bound = Fraction(ub_clip if s <= 0 else ub)
+            assert exact < bound + tol and Fraction(computed) < Fraction(ub_clip if clipped else ub) + tol, state
+            if lo.tolist() == hi.tolist():  # a block of one state: its bound is its value
+                assert abs(bound - exact) < tol
+        for kind, present in (("clipped", in_a.any()), ("unclipped", not in_a.all())):
+            blocks[kind] += present
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_scan_violations_matches_slice_oracle_for_any_block_edge(block, monkeypatch):
+    # one-state blocks make the bounds all but exact, so the clearing rule is tested at its edge
+    monkeypatch.setattr(drift, "BLOCK", block)
+    rng = np.random.default_rng(52)
+    for _ in range(8):
+        a, b, c = rng.uniform(-3, 3), rng.uniform(-3, 1.5), rng.uniform(-6, -0.1)
+        params = Params.p3(a, b, c, rng.uniform(0.1, 3.0))
+        alpha, epsilon, radius = rng.uniform(0.05, 3.0), rng.uniform(0.01, 1.0), int(rng.integers(0, 25))
+        expected = _slice_scan(params, alpha, epsilon, radius)
+        _assert_same_report(scan_violations(params, alpha, epsilon, radius), expected)
+
+
+@pytest.mark.parametrize(
+    "abc, lam, epsilon, radius",
+    [((3.78, -2.88, -1.91), 1.0, 2.0**-6, 60), ((2.5, -1.0, -3.0), 1.0, 0.5, 40)],
+    ids=["many-violations", "dirty-shell"],
+)
+def test_scan_violations_matches_slice_oracle_under_a_small_record_cap(abc, lam, epsilon, radius, monkeypatch):
+    # the cap falls between two slices at one point and inside the slice i = 1 at the other:
+    # truncation and (i, j, k) order must match the oracle's
+    monkeypatch.setattr(drift, "MAX_RECORDED_VIOLATIONS", 5)
+    monkeypatch.setitem(globals(), "MAX_RECORDED_VIOLATIONS", 5)
+    params = Params.p3(*abc, lam)
+    alpha = cubic_report(*abc).alpha_q
+    expected = _slice_scan(params, alpha, epsilon, radius)
+    assert len(expected.violation_set) == 5 < expected.violations_total
+    _assert_same_report(scan_violations(params, alpha, epsilon, radius), expected)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 7, 30, 61])
+def test_scan_violations_matches_slice_oracle_where_k_comes_from_a_clipped_state(radius):
+    # K grows past every violation's value: clipped blocks are cleared only against the K seen so far
+    params = Params.p3(1.83, -0.58, -2.96, 0.32)
+    alpha = cubic_report(1.83, -0.58, -2.96).alpha_q
+    epsilon = 2.0**-7
+    expected = _slice_scan(params, alpha, epsilon, radius)
+    _assert_same_report(scan_violations(params, alpha, epsilon, radius), expected)
+    values = [float(_exact_drift(params, alpha, epsilon, x)[0]) for x in expected.violation_set]
+    assert expected.violations_total == len(values)
+    if radius >= 30:
+        assert expected.k_bound > max(values) + 0.05
+
+
+def test_scan_violations_counts_the_origin_at_every_point():
+    # lam > 0, so the origin always violates with the value lam + eps that seeds the scan's K:
+    # no scan counts nothing, and K is never below the origin's value
+    rng = np.random.default_rng(51)
+    for _ in range(20):
+        a, b, c = rng.uniform(-3, 3), rng.uniform(-3, 1.5), rng.uniform(-6, -0.1)
+        params = Params.p3(a, b, c, rng.uniform(0.01, 3.0))
+        alpha, epsilon = rng.uniform(0.05, 3.0), rng.uniform(0.01, 1.0)
+        report = scan_violations(params, alpha, epsilon, 0)
+        _assert_same_report(report, _slice_scan(params, alpha, epsilon, 0))
+        assert report.violation_set == ((0, 0, 0),) and report.k_bound == params.lam + epsilon
+        assert scan_violations(params, alpha, epsilon, 9).k_bound >= report.k_bound

@@ -450,3 +450,13 @@ def test_detect_alternation_matches_brute_force_oracle():
         assert detect_alternation(x) == expected, x
         found += expected is not None
     assert found > 1000
+
+
+@pytest.mark.parametrize(
+    "params", [Params.p3(3.0, 1.0, -15.0), Params(p=5, coeffs=(0.3, 0.2, 0.1, -1.0, 0.0), lam=1.0)], ids=["p3", "p5"]
+)
+def test_excursion_loops_keep_python_int_counts(params):
+    # both loops use rng.poisson's scalar draw as it comes: a Python int, like every count of a state
+    assert type(replica_rng(0, 0).poisson(2.5)) is int
+    outcomes = [run_excursion(params, SimConfig(master_seed=5), r) for r in range(50)]
+    assert all(type(o.peak) is int for o in outcomes) and any(o.peak > 0 for o in outcomes)
