@@ -448,6 +448,7 @@ def _drift_json(cert: DriftCertificate) -> dict:
         "violations_total": report.violations_total,
         "violations": report.violation_set[:1000],
         "k_bound": report.k_bound,
+        "k_global": cert.k_global,
         "shell_clean": report.shell_clean,
         "small_set_verified": small is not None and small.verified,
         "small_set_witness": None if small is None else small.witness_probability,

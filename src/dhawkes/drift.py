@@ -501,6 +501,22 @@ class DriftCertificate:
     det_identity_residual: float
 
     @property
+    def k_global(self) -> float:
+        """max(report.k_bound, alpha + epsilon): K with the clipped states off the box.
+
+        report.k_bound is the largest Delta V + eps V over the box only.
+        Delta V + eps V = (s+ + alpha i)/(i + alpha j + 1)
+        - (1 - eps)(i + alpha j)/(j + alpha k + 1) + eps, and at a clipped
+        state (s <= 0) the first term is alpha i/(i + alpha j + 1) < alpha
+        and the second is <= 0 (eps <= 1), so the value is below
+        alpha + eps at every clipped state, in the box or not.  Values
+        there approach alpha + eps (j = 0, i and k large), above k_bound.
+        Unclipped states off the box are not covered: there the drift's
+        sign rests on the shell and q-form evidence.
+        """
+        return max(self.report.k_bound, self.cubic.alpha_q + self.report.epsilon)
+
+    @property
     def complete(self) -> bool:
         return (
             self.report.shell_clean

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 State = tuple[int, ...]
@@ -58,10 +59,18 @@ class Params:
 
 
 def check_state(state: State, p: int) -> None:
-    """Validate a state against a memory length: p entries, all nonnegative ints."""
+    """Validate a state against a memory length: p entries, all nonnegative ints.
+
+    Python and numpy integers are accepted; floats (also NaN and integral
+    ones) are not.  Every violation raises ValueError.
+    """
     if len(state) != p:
         raise ValueError(f"state has {len(state)} entries, expected {p}")
     for x in state:
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise ValueError(f"state entries must be integers, got {state}") from None
         if x < 0:
             raise ValueError(f"state entries must be >= 0, got {state}")
 

@@ -13,7 +13,7 @@ An excursion starts from the configured initial state (all zeros by
 default) and ends at the first return to the all-zero state, at a
 certified escape, or at the horizon.  The explosion threshold is the
 level above which escape is checked: an excursion whose counts stay at
-or below it runs the plain Poisson loops; once a fresh count exceeds it,
+or below it runs one compiled loop per p; once a fresh count exceeds it,
 the excursion keeps drawing until it returns (it is then RETURNED, with
 its true length and peak), or escape is certified (EXPLODED), or the
 horizon is reached.  Escape is certified by a count above an overflow
@@ -81,6 +81,7 @@ class SimConfig:
             )
         if self.initial_state is not None:
             object.__setattr__(self, "initial_state", tuple(self.initial_state))
+            check_state(self.initial_state, len(self.initial_state))
 
 
 class ExcursionOutcome(NamedTuple):
@@ -281,55 +282,62 @@ def run_excursion(params: Params, cfg: SimConfig, replica_index: int) -> Excursi
                threshold and escape is certified (see `escaped`).
     Censored:  steps = horizon.
 
-    While the counts stay at or below the threshold, the loops below draw
-    with numpy directly; from the first count above it (or from the start,
-    if the threshold lets the mean exceed NORMAL_SWITCH) the excursion is
-    followed through `step`.
+    Below the threshold the excursion runs in `_excursion_loop(p)`; from
+    the first count above it (or from the start, if the threshold lets the
+    mean exceed NORMAL_SWITCH) it is followed through `step`.
     """
     rng = replica_rng(cfg.master_seed, replica_index)
-    horizon = cfg.horizon_n
-    m = cfg.explosion_threshold_m
-    lam = params.lam
-    peak = 0
     state0 = _initial(params, cfg)
-    top = m if cfg.initial_state is None else max(m, *state0)  # no count the loops meet is larger
-    if lam + params.positive_sum * top > NORMAL_SWITCH:
+    m = cfg.explosion_threshold_m
+    top = m if cfg.initial_state is None else max(m, *state0)  # no count the loop meets is larger
+    if params.lam + params.positive_sum * top > NORMAL_SWITCH:
         return _follow(params, cfg, rng, state0, 0, 0)
+    return _excursion_loop(params.p)(params, cfg, rng, state0, params.lam, m, cfg.horizon_n)
 
-    if params.p == 3:
-        a, b, c = params.coeffs
-        i, j, k = state0
-        pois = rng.poisson
-        for n in range(1, horizon + 1):
-            # model.intensity's summation order, so run_trajectory replays this exactly
-            s = lam + a * i + b * j + c * k
-            d = pois(s) if s > 0.0 else 0  # a Python int
+
+_LOOP = """\
+def excursion(params, cfg, rng, state, lam, m, horizon):
+    {a}, = params.coeffs
+    {x}, = state  # x1 the most recent count
+    pois, peak, zeros = rng.poisson, 0, {p}  # zeros: zero counts at the recent end
+    {seed}
+    for n in range(1, horizon + 1):
+        s = lam  # model.intensity's order, so run_trajectory replays the loop
+        {intensity}
+        d = pois(s) if s > 0.0 else 0
+        {shift}
+        if d:
+            zeros = 0
             if d > peak:  # peak <= m here, so only a new peak can cross the threshold
                 if d > m:
-                    return _follow(params, cfg, rng, (d, i, j), n, d)
+                    return _follow(params, cfg, rng, ({x},), n, d)
                 peak = d
-            k, j, i = j, i, d
-            if i == 0 and j == 0 and k == 0:
+        else:
+            zeros += 1
+            if zeros >= {p}:
                 return ExcursionOutcome(ExcursionKind.RETURNED, n, peak)
-        return ExcursionOutcome(ExcursionKind.CENSORED, horizon, peak)
-
-    coeffs = params.coeffs
-    state = list(state0)
-    pois = rng.poisson
-    for n in range(1, horizon + 1):
-        s = lam
-        for a_i, x_i in zip(coeffs, state):
-            s += a_i * x_i
-        d = pois(s) if s > 0.0 else 0
-        if d > peak:
-            if d > m:
-                return _follow(params, cfg, rng, (d, *state[:-1]), n, d)
-            peak = d
-        state.pop()
-        state.insert(0, d)
-        if not d and not any(state):
-            return ExcursionOutcome(ExcursionKind.RETURNED, n, peak)
     return ExcursionOutcome(ExcursionKind.CENSORED, horizon, peak)
+"""
+
+
+@functools.lru_cache(maxsize=64)
+def _excursion_loop(p: int):
+    """`_LOOP` compiled for memory length p: run_excursion below the threshold.
+
+    Only p shapes the source.  The window is held in p locals, the
+    intensity is summed in one flat statement per lag, and `zeros` makes
+    the all-zero test O(1).
+    """
+    lags = range(1, p + 1)
+    source = _LOOP.format(
+        p=p, a=", ".join(f"a{i}" for i in lags), x=", ".join(f"x{i}" for i in lags),
+        seed="\n    ".join(f"if x{i}: zeros = {i - 1}" for i in reversed(lags)),
+        intensity="\n        ".join(f"s += a{i} * x{i}" for i in lags),
+        shift="\n        ".join([f"x{i} = x{i - 1}" for i in range(p, 1, -1)] + ["x1 = d"]),
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<excursion loop, p={p}>", "exec"), globals(), namespace)
+    return namespace["excursion"]
 
 
 def run_trajectory(
@@ -337,9 +345,9 @@ def run_trajectory(
 ) -> TrajectoryResult:
     """First `length` post-initial states; stops early if a count crosses the threshold.
 
-    Iterates `step` on replica r's stream; run_excursion's loops sum the
-    intensity in the same order and draw only where it is positive, and
-    follow the excursion through `step` past the threshold, so the
+    Iterates `step` on replica r's stream; run_excursion's loop sums the
+    intensity in the same order and draws only where it is positive, and
+    follows the excursion through `step` past the threshold, so the
     trajectory of replica r replays excursion r exactly up to the stop.
     """
     if length < 1:

@@ -374,6 +374,7 @@ def test_drift_json_reports_margins(abc, tmp_path, capsys):
     assert f"q_max_on_octant={cli._fmt(data['q_max_on_octant'])}" in out
     assert f"det_identity_residual={data['det_identity_residual']:.3e}" in out
     assert data["q_max_on_octant"] < 0.0 and abs(data["det_identity_residual"]) < 1e-8
+    assert data["k_global"] == max(data["k_bound"], data["alpha"] + data["epsilon"])
     if float(b) < 0:
         assert data["small_set_verified"]
         assert data["small_set_bound"] == math.exp(-2.0) <= data["small_set_witness"]

@@ -534,6 +534,23 @@ def test_certify_drift_end_to_end():
     assert cert.cubic.r_at_alpha_q > 0.0 > cert.cubic.k_at_alpha_q
 
 
+def test_k_global_bounds_clipped_states_off_the_box():
+    # k_bound is the box maximum; off the box clipped states come close to alpha + eps
+    params = Params.p3(1.87, -0.14, -7.99, lam=1.0)
+    cert = certify_drift(params)
+    alpha, eps = cert.cubic.alpha_q, cert.report.epsilon
+    assert (eps, cert.report.box_radius) == (0.25, 200)
+    assert cert.k_global == alpha + eps > cert.report.k_bound
+    values = []
+    for state in ((150, 0, 5000), (1000, 0, 10**8), (10**6, 0, 10**12), (10**4, 3, 10**9)):
+        exact, s = _exact_drift(params, alpha, eps, state)
+        assert s <= 0 and max(state) > cert.report.box_radius  # clipped, off the box
+        values.append(delta_v_alpha(params, alpha, state) + eps * v_alpha(alpha, state))
+        assert exact < Fraction(cert.k_global)
+    assert values[0] > cert.report.k_bound + 0.04
+    assert values[2] > cert.k_global - 1e-5
+
+
 def test_certify_drift_requires_inhibition_hypotheses():
     # no alpha_q: c > 0, and a point inside the Disc = 0 band
     for abc in ((0.0, 3.0, 0.5), (3.0, 0.5, -5.020288049381336)):

@@ -56,11 +56,18 @@ def test_derive_point_seed_distinct_and_stable():
 
 
 def test_run_excursions_worker_count_invariance():
-    params = Params.p3(3.0, 4.0, -15.0, lam=1.0)
-    cfg = SimConfig(horizon_n=2000, master_seed=7)
-    serial = run_excursions(params, cfg, 1500, jobs=1)
-    parallel = run_excursions(params, cfg, 1500, jobs=2)
-    assert serial == parallel
+    cases = [
+        (Params.p3(3.0, 4.0, -15.0, lam=1.0), SimConfig(horizon_n=2000, master_seed=7), 1500),
+        # p = 5, TransientLinear, from a start with zeros at both ends: most
+        # excursions cross the threshold and are certified in the workers
+        (Params(p=5, coeffs=(0.5, 0.4, 0.3, 0.2, 0.1), lam=0.2),
+         SimConfig(horizon_n=300, explosion_threshold_m=5, master_seed=7, initial_state=(0, 2, 0, 1, 0)), 600),
+    ]
+    for params, cfg, n in cases:
+        serial = run_excursions(params, cfg, n, jobs=1)
+        parallel = run_excursions(params, cfg, n, jobs=2)
+        assert serial == parallel
+    assert {o.kind for o in serial} == {ExcursionKind.RETURNED, ExcursionKind.EXPLODED}  # the p = 5 case
 
 
 def test_sweep_deterministic_and_consistent():

@@ -7,7 +7,7 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy.stats import chi2, poisson
 
-from dhawkes.model import Params
+from dhawkes.model import Params, check_state, intensity
 from dhawkes.simulate import (
     ExcursionKind,
     SimConfig,
@@ -222,8 +222,8 @@ def _replayed_outcome(params, cfg, replica):
     Escape is checked with `escaped`, from the first count above the threshold on.
     """
     rng = replica_rng(cfg.master_seed, replica)
-    state = (0,) * params.p
-    zero = state
+    zero = (0,) * params.p
+    state = cfg.initial_state or zero
     peak = 0
     for n in range(1, cfg.horizon_n + 1):
         state = step(params, state, rng)
@@ -238,15 +238,35 @@ def _replayed_outcome(params, cfg, replica):
 @pytest.mark.parametrize(
     "params, cfg",
     [
-        # p = 3 unrolled branch; TransientOscillating, cone level M = 2048
+        # TransientOscillating, cone level M = 2048
         (Params.p3(3.0, 4.0, -15.0, lam=1.0),
          SimConfig(horizon_n=15, explosion_threshold_m=100, master_seed=31)),
-        # generic-p branch: the oscillating point (1, 8, -121) with two zero
-        # lags, where only the overflow guard certifies escape
+        # the oscillating point (1, 8, -121) with two zero lags, where only
+        # the overflow guard certifies escape
         (Params(p=5, coeffs=(1.0, 8.0, -121.0, 0.0, 0.0), lam=1.0),
          SimConfig(horizon_n=700, explosion_threshold_m=10, master_seed=31)),
+        # TransientLinear for p = 1, from the all-zero state
+        (Params(p=1, coeffs=(1.2,), lam=0.2),
+         SimConfig(horizon_n=60, explosion_threshold_m=3, master_seed=31)),
+        # TransientLinear, started with a zero at the recent end
+        (Params(p=2, coeffs=(0.6, 0.6), lam=0.05),
+         SimConfig(horizon_n=80, explosion_threshold_m=3, master_seed=31, initial_state=(0, 4))),
+        # the oscillating point padded with one zero lag, a zero at the oldest
+        # end: the first three draws are forced zeros, and the window is all
+        # zero only after a fourth
+        (Params(p=4, coeffs=(1.0, 8.0, -121.0, 0.0), lam=1.0),
+         SimConfig(horizon_n=700, explosion_threshold_m=10, master_seed=31, initial_state=(1, 1, 1, 0))),
+        # padded with four zero lags, six zeros at the recent end: one zero
+        # draw returns at step 1
+        (Params(p=7, coeffs=(1.0, 8.0, -121.0, 0.0, 0.0, 0.0, 0.0), lam=1.0),
+         SimConfig(horizon_n=700, explosion_threshold_m=10, master_seed=31,
+                   initial_state=(0, 0, 0, 0, 0, 0, 2))),
+        # TransientLinear with 39 zero lags: a return takes 40 zero draws
+        (Params(p=40, coeffs=(1.5,) + (0.0,) * 39, lam=0.05),
+         SimConfig(horizon_n=120, explosion_threshold_m=1, master_seed=31,
+                   initial_state=(2,) + (0,) * 39)),
     ],
-    ids=["p3", "p5"],
+    ids=["p3", "p5", "p1", "p2", "p4", "p7", "p40"],
 )
 def test_run_trajectory_replays_excursion_outcomes(params, cfg):
     kinds = set()
@@ -397,6 +417,21 @@ def test_initial_state_respected():
     assert traj.states[0] == (0, 9, 0)  # -9 + 1 < 0 forces a zero draw
 
 
+@pytest.mark.parametrize("bad", [math.nan, 2.5, -1])
+def test_non_integer_and_negative_counts_are_rejected(bad):
+    # a NaN count once passed the `x < 0` check and ran as a bogus excursion
+    state = (bad, 0, 0)
+    with pytest.raises(ValueError):
+        check_state(state, 3)
+    with pytest.raises(ValueError):
+        intensity(Params.p3(0.5, 0.1, 0.1), state)
+    with pytest.raises(ValueError):
+        SimConfig(master_seed=1, initial_state=state)
+    # numpy integers are integers
+    check_state((np.int64(2), 0, np.uint8(1)), 3)
+    assert SimConfig(initial_state=(np.int64(2), 0, 0)).initial_state == (2, 0, 0)
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(horizon_n=0)
@@ -456,7 +491,7 @@ def test_detect_alternation_matches_brute_force_oracle():
     "params", [Params.p3(3.0, 1.0, -15.0), Params(p=5, coeffs=(0.3, 0.2, 0.1, -1.0, 0.0), lam=1.0)], ids=["p3", "p5"]
 )
 def test_excursion_loops_keep_python_int_counts(params):
-    # both loops use rng.poisson's scalar draw as it comes: a Python int, like every count of a state
+    # the excursion loop uses rng.poisson's scalar draw as it comes: a Python int, like every count of a state
     assert type(replica_rng(0, 0).poisson(2.5)) is int
     outcomes = [run_excursion(params, SimConfig(master_seed=5), r) for r in range(50)]
     assert all(type(o.peak) is int for o in outcomes) and any(o.peak > 0 for o in outcomes)
