@@ -187,6 +187,7 @@ _RULES = (
 
 _ERGODIC_ROWS = np.array([verdict in ERGODIC_VERDICTS for verdict, _, _ in _RULES])
 _TRANSIENT_ROWS = np.array([verdict in TRANSIENT_VERDICTS for verdict, _, _ in _RULES])
+_QUOTING_ROWS = np.array(["{" in text for _, _, text in _RULES])  # the texts that quote a number
 
 
 def _decide(x: _Points, point) -> np.ndarray:
@@ -226,12 +227,12 @@ def classify_p3(a, b, c, lam: float = 1.0) -> RegionLabels:
     pos = 0.0 + np.maximum(a, 0.0) + np.maximum(b, 0.0) + np.maximum(c, 0.0)
     total = 0.0 + a + b + c
     x = _Points(pos, total, (a >= 0.0) & (b >= 0.0) & (c >= 0.0), (a, b, c), rep)
-    fired = _decide(x, lambda i: Params.p3(float(a[i]), float(b[i]), float(c[i]), lam)).tolist()
-    return RegionLabels(
-        verdicts=[_RULES[k][0] for k in fired],
-        rules=[_RULES[k][2].format(pos=p, total=t) for k, p, t in zip(fired, pos.tolist(), total.tolist())],
-        reports=rep,
-    )
+    fired = _decide(x, lambda i: Params.p3(float(a[i]), float(b[i]), float(c[i]), lam))
+    rows = [_RULES[k] for k in fired.tolist()]
+    rules = [text for _, _, text in rows]
+    for i in np.flatnonzero(_QUOTING_ROWS[fired]).tolist():
+        rules[i] = rules[i].format(pos=float(pos[i]), total=float(total[i]))
+    return RegionLabels(verdicts=[verdict for verdict, _, _ in rows], rules=rules, reports=rep)
 
 
 def classify(params: Params) -> RegionLabel:

@@ -20,8 +20,10 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict
+from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .classify import classify, grid_values
 from .cubic import discriminant
@@ -291,20 +293,67 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _csv_field(v: object) -> object:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    if isinstance(v, bool):
-        return int(v)
-    return "" if v is None else v
-
-
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows: floats to 17 significant digits, bools as 0/1, None empty."""
+    """Write a header and rows: floats to 17 significant digits, bools as 0/1, None empty.
+
+    The bytes are csv.writer's (lineterminator "\\n").  Rows are turned into
+    text _TABLE_BLOCK at a time, a column at a time: each run of rows of
+    one length is a table whose columns _tokens encodes.
+    """
+    rows = iter(rows)
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows([_csv_field(v) for v in row] for row in rows)
+        csv.writer(f, lineterminator="\n").writerow(header)
+        while block := list(islice(rows, _TABLE_BLOCK)):
+            lines: list[str] = []
+            for width, run in groupby(block, len):
+                run = list(run)
+                other = functools.partial(_csv_token, lone=width == 1)
+                columns = [_tokens(col, _CSV_TOKENS, other) for col in zip(*run)]
+                lines += map(",".join, zip(*columns)) if width else [""] * len(run)
+            f.write("\n".join(lines) + "\n")
+
+
+_TABLE_BLOCK = 256  # table rows turned into text per batch, in both writers
+# Types whose equal values have one token each, zeros of a float aside (0.0 == -0.0).
+_SHARED = frozenset((float, int, bool, str, type(None)))
+_CSV_TOKENS = {float: "{:.17g}".format, int: int.__repr__, bool: {True: "1", False: "0"}.__getitem__}
+# write_csv's dialect, whose writerow returns what its file's write returns: here the line itself.
+_CSV_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+
+
+def _csv_token(v: object, lone: bool = False) -> str:
+    """csv.writer's text for field v under write_csv's rule; lone: v is its row's only field.
+
+    csv.writer quotes a row whose one field is empty, and no other empty field.
+    """
+    if isinstance(v, float):  # also a float subclass, such as numpy's float64
+        v = _CSV_TOKENS[float](v)
+    elif isinstance(v, bool):
+        v = int(v)
+    return _CSV_LINE((v,))[:-1] if lone else _CSV_LINE((v, None))[:-2]
+
+
+def _tokens(values: Sequence, exact: dict[type, Callable[[object], str]],
+            other: Callable[[object], str] | None) -> list[str] | None:
+    """The token of each value of one table column, with one encoder call per distinct value.
+
+    The encoder is exact[T] where every value has the one type T, else
+    other; None where that is None too.  Values share a token only where
+    they have one type in _SHARED; a float column holding a zero encodes
+    its zeros one by one, since 0.0 and -0.0 are one key.
+    """
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    encode = exact.get(kind, other)
+    if encode is None:
+        return None
+    distinct = set(values) if kind in _SHARED else values
+    if len(distinct) == len(values):
+        return list(map(encode, values))
+    table = dict(zip(distinct, map(encode, distinct)))
+    if kind is float and 0.0 in table:
+        return [table[v] if v else encode(v) for v in values]
+    return list(map(table.__getitem__, values))
 
 
 def write_json(obj: object, path: str) -> None:
@@ -312,16 +361,15 @@ def write_json(obj: object, path: str) -> None:
 
     json.dump runs its pure-Python encoder whenever it indents.  Here json's
     C encoder writes the tokens and this writer lays them out.  A table's
-    rows (flat dicts with the same string keys) are encoded a column at a
-    time, _JSON_BLOCK rows at a time, and each row is written through one
-    %-template as it is formatted.
+    rows (flat dicts with the same string keys, or flat lists and tuples
+    of one length) are encoded a column at a time, _TABLE_BLOCK rows at a
+    time, and each row is laid out by one %-template.
     """
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(_json_chunks(obj, "\n"))
         f.write("\n")
 
 
-_JSON_BLOCK = 256  # table rows encoded per batch
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))  # float.__repr__ of the values JSON spells otherwise
 _CONTAINERS = (dict, list, tuple)
 # Tokens of a column whose values are all of one of these exact types, faster than the encoder.
@@ -341,36 +389,41 @@ def _json_encoder(sep: str) -> Callable[[object], str]:
 
 def _json_column(values: list) -> list[str] | None:
     """The tokens of one table column; None if a value is a container."""
-    kinds = set(map(type, values))
-    encode = _JSON_TOKENS.get(next(iter(kinds))) if len(kinds) == 1 else None
-    if encode is not None:
-        tokens = list(map(encode, values))
-        if encode is not float.__repr__ or _NON_FINITE.isdisjoint(tokens):
-            return tokens
-    if any(issubclass(kind, _CONTAINERS) for kind in kinds):
+    tokens = _tokens(values, _JSON_TOKENS, None)
+    if tokens is not None and (type(values[0]) is not float or _NON_FINITE.isdisjoint(tokens)):
+        return tokens
+    if any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values))):
         return None
     return _json_encoder("\n")(values)[1:-1].split("\n")
 
 
 def _json_rows(block: Sequence, inner: str) -> Iterator[str] | None:
-    """Each item's text where block is a table: dicts with one set of string keys and scalar values.
+    """Each item's text where block is a table, None for any other block; inner starts the items' lines.
 
-    None for any other block.  inner starts the items' lines.
+    A table's items are dicts with one set of string keys, or lists and
+    tuples of one length, and hold no container.
     """
     first = block[0]
-    if set(map(type, block)) != {dict} or set(map(len, block)) != {len(first)} or not first:
+    kinds = set(map(type, block))
+    if not (kinds == {dict} or kinds <= {list, tuple}) or set(map(len, block)) != {len(first)} or not first:
         return None
-    if not all(type(k) is str for k in first):
-        return None
-    keys = sorted(first)
+    if type(first) is dict:
+        if not all(type(k) is str for k in first):
+            return None
+        keys = sorted(first)
+        labels = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
+        brackets = "{}"
+    else:
+        keys = range(len(first))
+        labels = [""] * len(first)
+        brackets = "[]"
     try:
         columns = [_json_column(list(map(itemgetter(k), block))) for k in keys]
     except (KeyError, TypeError):  # a row with other keys; a value json rejects, left to
         return None  # the item-by-item path, which raises json's error in json's order
     if None in columns:
         return None
-    pairs = ",".join(f"{inner}  {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys)
-    row = inner + "{" + pairs + inner + "}"
+    row = inner + brackets[0] + ",".join(f"{inner}  {label}%s" for label in labels) + inner + brackets[1]
     return map(row.__mod__, zip(*columns))
 
 
@@ -396,12 +449,11 @@ def _json_chunks(o: object, nl: str) -> Iterator[str]:
         yield nl + "}"
     else:
         sep = "["
-        for start in range(0, len(o), _JSON_BLOCK):
-            block = o[start:start + _JSON_BLOCK]
+        for start in range(0, len(o), _TABLE_BLOCK):
+            block = o[start:start + _TABLE_BLOCK]
             rows = _json_rows(block, inner) or (inner + "".join(_json_chunks(item, inner)) for item in block)
-            for text in rows:
-                yield sep + text
-                sep = ","
+            yield sep + ",".join(rows)
+            sep = ","
         yield nl + "]"
 
 

@@ -64,7 +64,9 @@ class SimConfig:
     """Horizon, explosion threshold, master seed and initial state of a run.
 
     The explosion threshold is the level above which escape is checked;
-    an excursion is EXPLODED only once its escape is certified.
+    an excursion is EXPLODED only once its escape is certified.  An
+    initial count above OVERFLOW_GUARD is rejected: such a start is
+    already past the level at which escape is certified.
     """
 
     horizon_n: int = 10_000
@@ -82,6 +84,8 @@ class SimConfig:
         if self.initial_state is not None:
             object.__setattr__(self, "initial_state", tuple(self.initial_state))
             check_state(self.initial_state, len(self.initial_state))
+            if max(self.initial_state, default=0) > OVERFLOW_GUARD:
+                raise ValueError(f"initial counts must be <= OVERFLOW_GUARD ({OVERFLOW_GUARD:g})")
 
 
 class ExcursionOutcome(NamedTuple):

@@ -1,10 +1,13 @@
 import csv
+import io
 import json
 import math
+import random
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dhawkes import cli, cubic
@@ -556,6 +559,53 @@ def test_write_json_rejects_what_json_rejects(obj, tmp_path):
     with pytest.raises(TypeError) as got:
         write_json(obj, str(tmp_path / "o.json"))
     assert str(got.value) == str(expected.value)
+
+
+# Values of one generated column, drawn with repeats so that equal values share tokens.
+_POOLS = {
+    "zeros": [0.0, -0.0, 0.5, -0.5],
+    "non-finite": [math.nan, math.inf, -math.inf, 1e300, 5e-324],
+    "floats": [0.1, 1 / 3, -2.5, 2.0**60],
+    "none": [None, 0.25],
+    "bool": [True, False],
+    "int": [0, -1, 7, 2**63, -(2**70)],
+    "float64": [np.float64(0.1), np.float64(-0.0), np.float64(0.0), np.float64(math.nan), np.float64(1e-300)],
+    "mixed": [1, 1.0, True, None, "1", np.float64(1.0), 2**53 + 1, float(2**53 + 1), 0, 0.0, -0.0, False],
+    "strings": [",", '"', "\n", "%", "", "a,b", 'q"uo"te', "%s %d", "line\nbreak", "plain"],
+}
+
+
+def _table(names, n):
+    rng = random.Random(n)
+    return [[rng.choice(_POOLS[name]) for name in names] for _ in range(n)]
+
+
+_ORACLE_TABLES = {
+    **{f"rows{n}": (list(_POOLS), _table(_POOLS, n)) for n in (255, 256, 257, 600)},
+    **{f"one-column-{name}": ([name], _table([name], 300)) for name in _POOLS},
+    "ragged": (["a", "b", "c"], [[1, 2.5, "x"], [3], [""], [], [None], [True, -0.0], [4, 0.0, "y"]] * 40),
+}
+
+
+@pytest.mark.parametrize("header, rows", list(_ORACLE_TABLES.values()), ids=list(_ORACLE_TABLES))
+def test_writers_match_csv_writer_and_json_dumps(header, rows, tmp_path):
+    expected = io.StringIO()
+    w = csv.writer(expected, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([_rule(v) for v in row] for row in rows)
+    write_csv(str(tmp_path / "t.csv"), header, rows)
+    # compared line by line: a long text's diff would take minutes to report
+    lines = (tmp_path / "t.csv").read_bytes().decode("utf-8").splitlines(True)
+    assert lines == expected.getvalue().splitlines(True)
+    obj = {
+        "dicts": [dict(zip(header, row)) for row in rows],
+        "lists": rows,
+        "tuples": [tuple(row) for row in rows],
+        "empty": [[] for _ in rows],
+    }
+    write_json(obj, str(tmp_path / "t.json"))
+    lines = (tmp_path / "t.json").read_bytes().decode("utf-8").splitlines(True)
+    assert lines == _oracle(obj).splitlines(True)
 
 
 def test_every_command_mirror_matches_json_dumps(tmp_path, capsys, monkeypatch):

@@ -432,6 +432,17 @@ def test_non_integer_and_negative_counts_are_rejected(bad):
     assert SimConfig(initial_state=(np.int64(2), 0, 0)).initial_state == (2, 0, 0)
 
 
+@pytest.mark.parametrize("params", [Params.p3(-1.0, -1.0, -1.0), Params.p3(0.5, -1.0, -1.0)], ids=["inhibited", "positive-a"])
+def test_initial_counts_above_the_overflow_guard_are_rejected(params):
+    # such counts once passed SimConfig and crashed both entry points with OverflowError
+    for big in (10**400, 10**301):
+        with pytest.raises(ValueError):
+            SimConfig(master_seed=1, initial_state=(big, 0, 0))
+    cfg = SimConfig(master_seed=1, initial_state=(10**300, 0, 0))
+    assert run_excursion(params, cfg, 0).kind is ExcursionKind.RETURNED
+    assert run_trajectory(params, cfg, 5, 0).states
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(horizon_n=0)
