@@ -45,60 +45,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_ANOMALY = 4
 
-_SIM_DEFAULTS = {"horizon": 10_000, "threshold": 10**9, "seed": 0}
-_SWEEP_DEFAULTS = {
-    "fix": None, "sweep": None, "replicas": 100_000, "alpha": 0.01, "lam": 1.0,
-    "jobs": None, "out": None, **_SIM_DEFAULTS,
-}
-
-DEFAULTS: dict[str, dict] = {
-    "classify": {"p": None, "a": None, "b": None, "c": None, "coeffs": None, "lam": 1.0},
-    "simulate": {
-        "p": None, "a": None, "b": None, "c": None, "coeffs": None, "lam": 1.0,
-        "length": 100, "replica": 0, "out": None, **_SIM_DEFAULTS,
-    },
-    "sweep": _SWEEP_DEFAULTS,
-    "ecdf": _SWEEP_DEFAULTS,
-    "gallery": {
-        "a": None, "b": None, "c": None, "lam": 1.0, "want": 5, "prefix": 30,
-        "cap": 10_000_000, "out": None, **_SIM_DEFAULTS,
-    },
-    "drift": {
-        "a": None, "b": None, "c": None, "lam": 1.0, "radius": 200,
-        "max_radius": 1600, "out": None,
-    },
-    "grid": {
-        "a_values": None, "b_range": None, "c_range": None, "step": None,
-        "lam": 1.0, "out": None,
-    },
-}
-
-
-# The JSON shape of a non-null config value, by key.  JSON loads a bool as
-# bool, which is never taken for a number.
-def _is_number(v: object) -> bool:
-    return type(v) in (int, float)
-
-
-def _is_numbers(v: object) -> bool:
-    return type(v) is list and all(map(_is_number, v))
-
-
-_CONFIG_SHAPES: dict[str, tuple[Callable[[object], bool], str]] = {
-    **dict.fromkeys(
-        "p horizon threshold seed length replica replicas jobs want prefix cap radius max_radius".split(),
-        (lambda v: type(v) is int, "an integer"),
-    ),
-    **dict.fromkeys("a b c lam alpha step".split(), (_is_number, "a number")),
-    "out": (lambda v: type(v) is str, "a string"),
-    "fix": (lambda v: type(v) is dict and all(map(_is_number, v.values())), "an object of numbers"),
-    "sweep": (lambda v: type(v) is list and len(v) == 2 and type(v[0]) is str and _is_numbers(v[1]),
-              "[name, [numbers]]"),
-    "a_values": (_is_numbers, "an array of numbers"),
-    "coeffs": (_is_numbers, "an array of numbers"),
-    **dict.fromkeys(("b_range", "c_range"), (lambda v: _is_numbers(v) and len(v) == 2, "[number, number]")),
-}
-
 
 def _parse_floats(text: str) -> list[float]:
     try:
@@ -138,87 +84,88 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"bad range {text!r}: {e}") from None
 
 
+# Every config key: its flag's parse type, its default and its help text.
+# The flag of a one-letter key k is -k; of any other, --key with "_" as "-".
+_OPTIONS: dict[str, tuple[Callable[[str], object], object, str]] = {
+    "p": (int, None, "memory length"),
+    "coeffs": (_parse_floats, None, "comma-separated a_1..a_p"),
+    "a": (float, None, "lag-1 coefficient"),
+    "b": (float, None, "lag-2 coefficient"),
+    "c": (float, None, "lag-3 coefficient"),
+    "lam": (float, 1.0, "baseline intensity (default 1)"),
+    "horizon": (int, 10_000, "censoring horizon (default 10000)"),
+    "threshold": (int, 10**9, "level above which escape is checked (default 1e9)"),
+    "seed": (int, 0, "master seed"),
+    "length": (int, 100, "number of steps (default 100)"),
+    "replica": (int, 0, "replica index (default 0)"),
+    "out": (str, None, "output: simulate's CSV (default stdout), drift's JSON, else a basename"),
+    "fix": (_parse_fix, None, "fixed coordinates, e.g. a=3,c=-15"),
+    "sweep": (_parse_sweep, None, "swept coordinate, e.g. b=0:4:0.5 or b=0.9,1,4"),
+    "replicas": (int, 100_000, "excursions per point"),
+    "alpha": (float, 0.01, "interval significance (default 0.01)"),
+    "jobs": (int, None, "worker processes, at most one per core (default: all cores)"),
+    "want": (int, 5, "number of exploding excursions (default 5)"),
+    "prefix": (int, 30, "prefix length to record (default 30)"),
+    "cap": (int, 10_000_000, "replica cap (default 1e7)"),
+    "radius": (int, 200, "scan box radius, >= 1 (default 200)"),
+    "max_radius": (int, 1600, "doubling cap (default 1600)"),
+    "a_values": (_parse_floats, None, "e.g. 0.5,1,2,3"),
+    "b_range": (_parse_range, None, "e.g. -3:2"),
+    "c_range": (_parse_range, None, "e.g. -3:2"),
+    "step": (float, None, "grid spacing of b and c"),
+}
+
+_SIM = "horizon threshold seed"
+_SWEEP = f"fix sweep replicas alpha lam jobs out {_SIM}"
+# Each command's help line and its config keys, in --help order.
+_COMMANDS = {
+    "classify": ("stability verdict for a parameter point", "p coeffs a b c lam"),
+    "simulate": ("write one trajectory as CSV", f"p coeffs a b c lam {_SIM} length replica out"),
+    "sweep": ("explosion-proportion sweep with exact intervals", _SWEEP),
+    "ecdf": ("empirical CDFs of the truncated return time", _SWEEP),
+    "gallery": ("collect exploding excursion prefixes", f"a b c lam want prefix cap out {_SIM}"),
+    "drift": ("verify the drift construction numerically", "a b c lam radius max_radius out"),
+    "grid": ("discriminant-sign / classification grid data", "a_values b_range c_range step lam out"),
+}
+
+DEFAULTS: dict[str, dict] = {
+    command: {key: _OPTIONS[key][1] for key in keys.split()} for command, (_, keys) in _COMMANDS.items()
+}
+
+
+# The JSON shape of a non-null config value, by its flag's parse type.  JSON
+# loads a bool as bool, which is never taken for a number.
+def _is_number(v: object) -> bool:
+    return type(v) in (int, float)
+
+
+def _is_numbers(v: object) -> bool:
+    return type(v) is list and all(map(_is_number, v))
+
+
+_SHAPES: dict[Callable[[str], object], tuple[Callable[[object], bool], str]] = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (_is_number, "a number"),
+    str: (lambda v: type(v) is str, "a string"),
+    _parse_floats: (_is_numbers, "an array of numbers"),
+    _parse_fix: (lambda v: type(v) is dict and all(map(_is_number, v.values())), "an object of numbers"),
+    _parse_sweep: (lambda v: type(v) is list and len(v) == 2 and type(v[0]) is str and _is_numbers(v[1]),
+                   "[name, [numbers]]"),
+    _parse_range: (lambda v: _is_numbers(v) and len(v) == 2, "[number, number]"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="dhawkes", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for command, (summary, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key in DEFAULTS[command]:
+            parse, _, help_text = _OPTIONS[key]
+            flag = f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
+            p.add_argument(flag, type=parse, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--echo-config", help="write the resolved configuration to this path")
-
-    def add_abc(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-a", type=float, help="lag-1 coefficient")
-        p.add_argument("-b", type=float, help="lag-2 coefficient")
-        p.add_argument("-c", type=float, help="lag-3 coefficient")
-        p.add_argument("--lam", type=float, help="baseline intensity (default 1)")
-
-    def add_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-p", type=int, dest="p", help="memory length")
-        p.add_argument("--coeffs", type=_parse_floats, help="comma-separated a_1..a_p")
-        add_abc(p)
-
-    def add_sim(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--horizon", type=int, help="censoring horizon (default 10000)")
-        p.add_argument(
-            "--threshold", type=int, help="level above which escape is checked (default 1e9)"
-        )
-        p.add_argument("--seed", type=int, help="master seed")
-
-    p = sub.add_parser("classify", help="stability verdict for a parameter point")
-    add_params(p)
-    add_common(p)
-
-    p = sub.add_parser("simulate", help="write one trajectory as CSV")
-    add_params(p)
-    add_sim(p)
-    p.add_argument("--length", type=int, help="number of steps (default 100)")
-    p.add_argument("--replica", type=int, help="replica index (default 0)")
-    p.add_argument("--out", help="output CSV path (default stdout)")
-    add_common(p)
-
-    for name, help_text in (
-        ("sweep", "explosion-proportion sweep with exact intervals"),
-        ("ecdf", "empirical CDFs of the truncated return time"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--fix", type=_parse_fix, help="fixed coordinates, e.g. a=3,c=-15")
-        p.add_argument(
-            "--sweep", type=_parse_sweep, dest="sweep",
-            help="swept coordinate, e.g. b=0:4:0.5 or b=0.9,1,4",
-        )
-        p.add_argument("--replicas", type=int, help="excursions per point")
-        p.add_argument("--alpha", type=float, help="interval significance (default 0.01)")
-        p.add_argument("--lam", type=float)
-        p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
-        p.add_argument("--out", help="output basename (.csv/.json emitted)")
-        add_sim(p)
-        add_common(p)
-
-    p = sub.add_parser("gallery", help="collect exploding excursion prefixes")
-    add_abc(p)
-    p.add_argument("--want", type=int, help="number of exploding excursions (default 5)")
-    p.add_argument("--prefix", type=int, help="prefix length to record (default 30)")
-    p.add_argument("--cap", type=int, help="replica cap (default 1e7)")
-    p.add_argument("--out", help="output basename")
-    add_sim(p)
-    add_common(p)
-
-    p = sub.add_parser("drift", help="verify the drift construction numerically")
-    add_abc(p)
-    p.add_argument("--radius", type=int, help="scan box radius, >= 1 (default 200)")
-    p.add_argument("--max-radius", type=int, dest="max_radius", help="doubling cap (default 1600)")
-    p.add_argument("--out", help="write the report as JSON")
-    add_common(p)
-
-    p = sub.add_parser("grid", help="discriminant-sign / classification grid data")
-    p.add_argument("--a-values", type=_parse_floats, dest="a_values", help="e.g. 0.5,1,2,3")
-    p.add_argument("--b-range", type=_parse_range, dest="b_range", help="e.g. -3:2")
-    p.add_argument("--c-range", type=_parse_range, dest="c_range", help="e.g. -3:2")
-    p.add_argument("--step", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--out", help="output basename")
-    add_common(p)
-
     return top
 
 
@@ -240,7 +187,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         for key, val in loaded.items():
             if val is None and merged[key] is not None:
                 raise ValueError(f"config key {key!r} must not be null")
-            shape, noun = _CONFIG_SHAPES[key]
+            shape, noun = _SHAPES[_OPTIONS[key][0]]
             if val is not None and not shape(val):
                 raise ValueError(f"config key {key!r} must be {noun}, got {val!r}")
             if key == "sweep" and val is not None:
@@ -256,14 +203,16 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _params_from(merged: dict) -> Params:
-    lam = merged["lam"]
+    lam, p = merged["lam"], merged.get("p")
+    provided = [v for v in (merged.get("a"), merged.get("b"), merged.get("c")) if v is not None]
+    if p is not None and p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     if merged.get("coeffs"):
+        if provided:
+            raise ValueError("give --coeffs or -a/-b/-c, not both")
         coeffs = [float(v) for v in merged["coeffs"]]
-        p = merged.get("p") or len(coeffs)
-        return Params(p=p, coeffs=tuple(coeffs), lam=lam)
-    letters = [merged.get("a"), merged.get("b"), merged.get("c")]
-    provided = [v for v in letters if v is not None]
-    p = merged.get("p") or len(provided)
+        return Params(p=p or len(coeffs), coeffs=tuple(coeffs), lam=lam)
+    p = p or len(provided)
     if len(provided) != p or p == 0:
         raise ValueError(f"need {p or 'some'} coefficients; got {provided}")
     return Params(p=p, coeffs=tuple(provided), lam=lam)

@@ -112,13 +112,12 @@ def _check_jobs(jobs: int | None) -> None:
 def _workers(jobs: int | None, n_replicas: int) -> int:
     """Worker processes for n replicas; 1 means run them in this process.
 
-    jobs=None uses every core.  Fewer than 256 replicas are not worth a
-    pool's dispatch.
+    jobs=None uses every core, and no more than one worker runs per core.
+    Fewer than 256 replicas are not worth a pool's dispatch.
     """
     _check_jobs(jobs)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    return 1 if n_replicas < 256 else min(jobs, n_replicas)
+    cores = os.cpu_count() or 1
+    return 1 if n_replicas < 256 else min(jobs or cores, cores, n_replicas)
 
 
 # Kind of an outcome by its code in a batch's kind bytes.

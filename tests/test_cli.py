@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -238,19 +239,68 @@ def test_ecdf_close_values_write_one_file_each(tmp_path, capsys):
         assert lines == [[_rule(v) for v in pt] for pt in points]
 
 
-def test_config_echo_roundtrip(tmp_path, capsys):
-    base1 = tmp_path / "s1"
-    echo = tmp_path / "echo.json"
-    args = ["sweep", "--fix", "a=3,c=-15", "--sweep", "b=2,4", "--replicas", "200",
-            "--seed", "9", "--horizon", "400", "--jobs", "1",
-            "--out", str(base1), "--echo-config", str(echo)]
-    code, _, _ = run(args, capsys)
-    assert code == 0
-    # re-ingest the echoed config, only overriding the output path
-    base2 = tmp_path / "s2"
-    code, _, _ = run(["sweep", "--config", str(echo), "--out", str(base2)], capsys)
-    assert code == 0
-    assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
+_ECHO_RUNS = {
+    "classify": ["-p", "2", "-a", "0.4", "-b", "0.4", "--lam", "2"],
+    "simulate": ["-a", "3", "-b", "1", "-c", "-15", "--seed", "7", "--length", "40", "--out", "o.csv"],
+    "sweep": ["--fix", "a=3,c=-15", "--sweep", "b=2,4", "--replicas", "200", "--seed", "9",
+              "--horizon", "400", "--jobs", "1", "--out", "o"],
+    "ecdf": ["--fix", "a=3,c=-15", "--sweep", "b=0.9,4", "--replicas", "200", "--seed", "9",
+             "--horizon", "400", "--jobs", "1", "--out", "o"],
+    "gallery": ["-a", "3", "-b", "4", "-c", "-15", "--want", "2", "--prefix", "10", "--horizon", "500",
+                "--seed", "11", "--out", "o"],
+    "drift": ["-a", "2.5", "-b", "-1", "-c", "-3", "--radius", "40", "--out", "o.json"],
+    "grid": ["--a-values", "0.5,3", "--b-range=-1.5:1", "--c-range=-1:0.5", "--step", "0.5", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("command", list(_ECHO_RUNS))
+def test_config_echo_roundtrip(command, tmp_path, capsys, monkeypatch):
+    # re-running from the echoed configuration, in another directory, gives the
+    # same exit code, output and files, the echo among them
+    echo = tmp_path / "first" / "echo.json"
+    results = []
+    for name, args in (("first", _ECHO_RUNS[command]), ("again", ["--config", str(echo)])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        code, out, err = run([command, *args, "--echo-config", "echo.json"], capsys)
+        files = {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+        results.append((code, out, err, files))
+    assert results[0][0] == 0, results[0][2]
+    assert results[0] == results[1]
+
+
+def _subparser(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+@pytest.mark.parametrize("command", list(cli.DEFAULTS))
+def test_every_config_key_has_a_flag_and_a_shape(command, tmp_path, capsys):
+    dests = {action.dest for action in _subparser(command)._actions}
+    cfg = tmp_path / "cfg.json"
+    for key in cli.DEFAULTS[command]:
+        assert key in dests
+        cfg.write_text(json.dumps({key: {"x": []}}))  # the wrong shape for every key
+        code, out, err = run([command, "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config key {key!r}"), err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["classify", "-p", "0", "-a", "0.5"], None),
+    (["classify", "-a", "0.5"], {"p": 0}),
+    (["classify", "--coeffs", "0.5,0.2", "-a", "3", "-b", "1", "-c", "-15"], None),
+    (["simulate", "-a", "3", "--length", "5"], {"coeffs": [0.5]}),
+], ids=["p0-flag", "p0-config", "coeffs-and-abc-flags", "coeffs-config-and-abc-flag"])
+def test_ignored_parameter_exits_2(argv, config, tmp_path, capsys):
+    # no given value may be dropped: -p 0 for the inferred length, or -a/-b/-c for --coeffs
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv, config", [

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -46,6 +47,13 @@ def test_run_excursions_rejects_jobs_below_one(jobs):
     # the CLI's --jobs reaches SweepSpec first; direct API callers reach this check
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         run_excursions(Params.p3(3.0, 0.0, -15.0, lam=1.0), SimConfig(), 10, jobs=jobs)
+
+
+def test_workers_capped_at_cores():
+    # a fork pool starts all its workers at the first submit: never more than the cores
+    cores = os.cpu_count() or 1
+    assert experiments._workers(10**6, 10**6) == experiments._workers(None, 10**6) == cores
+    assert experiments._workers(1, 10**6) == experiments._workers(10**6, 255) == 1
 
 
 def test_derive_point_seed_distinct_and_stable():
