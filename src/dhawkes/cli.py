@@ -48,7 +48,10 @@ EXIT_ANOMALY = 4
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        values = [float(v) for v in text.split(",") if v != ""]
+        if not values:
+            raise ValueError("no numbers")
+        return values
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}: {e}") from None
 
@@ -58,7 +61,10 @@ def _parse_fix(text: str) -> dict[str, float]:
     try:
         for part in text.split(","):
             name, val = part.split("=")
-            out[name.strip()] = float(val)
+            name = name.strip()
+            if name in out:
+                raise ValueError(f"{name!r} given twice")
+            out[name] = float(val)
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"bad fix argument {text!r}: {e}") from None
     return out
@@ -147,7 +153,7 @@ _SHAPES: dict[Callable[[str], object], tuple[Callable[[object], bool], str]] = {
     int: (lambda v: type(v) is int, "an integer"),
     float: (_is_number, "a number"),
     str: (lambda v: type(v) is str, "a string"),
-    _parse_floats: (_is_numbers, "an array of numbers"),
+    _parse_floats: (lambda v: _is_numbers(v) and len(v) > 0, "a non-empty array of numbers"),
     _parse_fix: (lambda v: type(v) is dict and all(map(_is_number, v.values())), "an object of numbers"),
     _parse_sweep: (lambda v: type(v) is list and len(v) == 2 and type(v[0]) is str and _is_numbers(v[1]),
                    "[name, [numbers]]"),

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubic import CubicReport, cubic_report, det_m_alpha_identity_check, m_alpha
-from .model import Params, State, check_state, intensity
+from .model import Params, State, intensity
 
 MAX_RECORDED_VIOLATIONS = 100_000
 Q_GRID_DENSITY = 19  # q_form_negativity_check's directions: compositions of 19 (210 of them)
@@ -195,31 +195,6 @@ def linear_drift_scan(params: Params, epsilon: float, box_radius: int) -> DriftR
 # ---------------------------------------------------------------------------
 
 
-def v_alpha(alpha: float, state: State) -> float:
-    """V_alpha(i, j, k) = (i + alpha*j)/(j + alpha*k + 1) + 1, always >= 1."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    check_state(state, 3)
-    i, j, k = state
-    return (i + alpha * j) / (j + alpha * k + 1.0) + 1.0
-
-
-def delta_v_alpha(params3: Params, alpha: float, state: State) -> float:
-    """Exact one-step drift of V_alpha: E V(X_1) - V(x), no sampling.
-
-    With X_1 = (L, i, j) and L Poisson of mean s, E V(X_1) collapses to
-    (s + alpha*i)/(i + alpha*j + 1) + 1; for clipped states s = 0 the
-    same formula applies.
-    """
-    if params3.p != 3:
-        raise ValueError(f"requires p=3, got p={params3.p}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    i, j, k = state
-    s = intensity(params3, state)
-    return (s + alpha * i) / (i + alpha * j + 1.0) - (i + alpha * j) / (j + alpha * k + 1.0)
-
-
 def q_form_negativity_check(cubic: CubicReport) -> float:
     """Max of the drift form d^T M_alpha d at alpha_q over unit directions d of the positive octant.
 
@@ -247,36 +222,22 @@ def _jk_terms(params3: Params, alpha: float, j, k) -> tuple:
     return b * j, c * k, alpha * j, j + alpha * k + 1.0
 
 
-def _buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Work arrays of _i_terms: four float64 arrays and one bool mask."""
-    return (*(np.empty(shape) for _ in range(4)), np.empty(shape, dtype=bool))
-
-
-def _i_terms(params3: Params, alpha: float, i, jk: tuple, out: tuple[np.ndarray, ...]):
-    """Clipped mask, Delta V_alpha and V_alpha at the states (i, j, k), written into out.
+def _i_terms(params3: Params, alpha: float, i, jk: tuple) -> tuple:
+    """Clipped mask, Delta V_alpha and V_alpha at the states (i, j, k).
 
     jk is _jk_terms at (j, k); i, j and k are scalars or arrays that
-    broadcast to out's shape.  Every state gets the same elementwise
-    arithmetic in the same order, s = ((a*i + b*j) + c*k) + lam,
-    num = i + alpha*j and dv = (max(s, 0) + alpha*i)/(num + 1) - num/den,
+    broadcast together.  Every state gets the same elementwise
+    arithmetic in the same order, s = ((b*j + a*i) + c*k) + lam,
+    num = alpha*j + i and dv = (max(s, 0) + alpha*i)/(num + 1) - num/den,
     so a shell and a cube agree bit for bit on the states they share.
     """
     a = params3.abc[0]
     bj, ck, aj, den = jk
-    s, num, ratio, dv, in_a = out
-    np.add(bj, a * i, out=s)
-    s += ck
-    s += params3.lam
-    np.less_equal(s, 0.0, out=in_a)
-    np.add(aj, i, out=num)
-    np.divide(num, den, out=ratio)
-    np.maximum(s, 0.0, out=dv)
-    dv += alpha * i
-    num += 1.0
-    dv /= num
-    dv -= ratio
-    ratio += 1.0  # now V_alpha
-    return in_a, dv, ratio
+    s = bj + a * i + ck + params3.lam
+    num = aj + i
+    ratio = num / den
+    dv = (np.maximum(s, 0.0) + alpha * i) / (num + 1.0) - ratio
+    return s <= 0.0, dv, ratio + 1.0
 
 
 def _block_bounds(params3: Params, alpha: float, epsilon: float, i, j, k) -> tuple:
@@ -367,11 +328,9 @@ def scan_violations(
         flat = members[live]
         flat = flat[flat >= 0]  # in block order
         jk = _jk_terms(params3, alpha, *np.divmod(flat, n))
-        out = _buffers(flat.shape)
         for i in range(i0, i1 + 1):
-            in_a, dvev, v = _i_terms(params3, alpha, i, jk, out)
-            v *= epsilon
-            dvev += v  # Delta V + eps*V
+            in_a, dvev, v = _i_terms(params3, alpha, i, jk)
+            dvev += epsilon * v  # Delta V + eps*V
             bad = dvev > 0.0
             k_bound = max(k_bound, float(np.max(dvev, initial=-math.inf, where=bad | in_a)))
             bad &= ~in_a
@@ -409,8 +368,7 @@ def _shell_epsilon(params3: Params, alpha: float, r: int) -> tuple[float, float]
     idx = 0
     largest = 1.0
     for i, j, k in faces:
-        out = _buffers(np.broadcast_shapes(*map(np.shape, (i, j, k))))
-        in_a, dv, v = _i_terms(params3, alpha, i, _jk_terms(params3, alpha, j, k), out)
+        in_a, dv, v = _i_terms(params3, alpha, i, _jk_terms(params3, alpha, j, k))
         dv, v = dv[~in_a], v[~in_a]
         while idx < len(EPSILONS) and (dv + EPSILONS[idx] * v > 0.0).any():
             idx += 1

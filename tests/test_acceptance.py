@@ -13,12 +13,12 @@ import pytest
 from dhawkes.classify import Verdict, classify
 from dhawkes.cubic import cubic_report, cubic_reports, det_m_alpha_identity_check, discriminant
 from dhawkes.drift import (
+    _i_terms,
+    _jk_terms,
     certify_drift,
-    delta_v_alpha,
     linear_drift_coeffs,
     linear_drift_scan,
     q_form_negativity_check,
-    v_alpha,
     verify_small_set,
 )
 from dhawkes.experiments import SweepSpec, derive_point_seed, exploding_gallery, run_excursions, sweep_explosion, tau_cdf_experiment
@@ -290,19 +290,19 @@ def test_criterion_09_property_suites():
         total = sum(transition_pmf(params, state, ell) for ell in range(top + 1))
         assert abs(total - 1.0) < 1e-9, (params, state)
 
-    # closed-form drift vs truncated expectation, 1e3 cases, 1e-7
+    # the certificates' closed-form drift (_i_terms) vs truncated expectation, 1e3 cases, 1e-7
     for _ in range(1_000):
         coeffs = tuple(rng.uniform(-3, 3, size=3))
         params = Params(p=3, coeffs=coeffs, lam=float(rng.uniform(0.1, 3.0)))
         alpha = float(rng.uniform(0.1, 3.0))
         state = tuple(int(v) for v in rng.integers(0, 20, size=3))
+        i, j, k = state
         s = intensity(params, state)
         top = int(math.ceil(s + 20.0 * math.sqrt(s) + 60.0))
-        oracle = sum(
-            transition_pmf(params, state, ell) * v_alpha(alpha, (ell, state[0], state[1]))
-            for ell in range(top + 1)
-        ) - v_alpha(alpha, state)
-        assert abs(delta_v_alpha(params, alpha, state) - oracle) < 1e-7, (params, state)
+        _, dv, v = _i_terms(params, alpha, i, _jk_terms(params, alpha, j, k))
+        v_next = _i_terms(params, alpha, np.arange(top + 1), _jk_terms(params, alpha, i, j))[2]  # V(ell, i, j)
+        oracle = sum(transition_pmf(params, state, ell) * v_next[ell] for ell in range(top + 1)) - v
+        assert abs(dv - oracle) < 1e-7, (params, state)
 
     report(9, "oracle property suites (sign partition, ab+c, R/K, kernel, drift)")
 

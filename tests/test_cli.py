@@ -532,6 +532,38 @@ def test_unbounded_range_exits_2(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_fix_repeated_name_exits_2(capsys):
+    # the last value used to win: this ran at a = 3 and dropped a = 1
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--fix", "a=1,a=3,c=-15", "--sweep", "b=0", "--replicas", "10", "--jobs", "1"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["grid", "--a-values=", "--b-range=-1:0", "--c-range=-1:0", "--step", "0.5"], None),
+    (["grid", "--b-range=-1:0", "--c-range=-1:0", "--step", "0.5"], {"a_values": []}),
+    (["classify", "--coeffs=", "-a", "0.5"], None),
+    (["classify", "-a", "0.5"], {"coeffs": []}),
+], ids=["grid-flag", "grid-config", "classify-flag", "classify-config"])
+def test_empty_number_list_exits_2(argv, config, tmp_path, capsys):
+    # grid used to write 0 cells and exit 0, and classify took an empty --coeffs for an absent one
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    if argv[0] == "grid":
+        argv = [*argv, "--out", str(tmp_path / "g")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "error:" in captured.err
+    assert not list(tmp_path.glob("g.*"))
+
+
 def test_grid_command(tmp_path, capsys):
     code, out, _ = run(
         ["grid", "--a-values", "0.5", "--b-range=-1:0", "--c-range=-1:0",

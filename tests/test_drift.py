@@ -19,7 +19,6 @@ from dhawkes.drift import (
     Q_GRID_DENSITY,
     DriftReport,
     certify_drift,
-    delta_v_alpha,
     q_form_negativity_check,
     scan_violations,
     small_set_applicable,
@@ -27,7 +26,6 @@ from dhawkes.drift import (
     linear_delta_v,
     linear_drift_scan,
     linear_weights,
-    v_alpha,
     verify_small_set,
 )
 from dhawkes.model import Params, intensity, transition_pmf
@@ -131,29 +129,78 @@ def test_linear_drift_scan_agrees_exactly_with_linear_delta_v():
     assert checked >= 30
 
 
+def _exact_linear_drift(params, epsilon):
+    """Delta V + eps*V under the linear weights as a function of the state, in exact rational arithmetic.
+
+    alpha_i = eta*(p - i + 1)/p + sum_{j>=i} (a_j)+ with eta = 1 - sum (a_i)+, alpha_{p+1} = 0,
+    and the value is s+ + sum_i (alpha_{i+1} + alpha_i*(eps - 1)) x_i + eps.
+    """
+    a, lam, eps = [Fraction(x) for x in params.coeffs], Fraction(params.lam), Fraction(epsilon)
+    p, plus = len(a), [max(x, 0) for x in a]
+    eta = 1 - sum(plus)
+    alphas = [eta * (p - i) / p + sum(plus[i:]) for i in range(p)] + [0]
+    weights = [alphas[i + 1] + alphas[i] * (eps - 1) for i in range(p)]
+
+    def value(state):
+        s = lam + sum(x * a_i for x, a_i in zip(state, a))
+        return max(s, 0) + sum(x * w for x, w in zip(state, weights)) + eps
+
+    return value
+
+
+def test_linear_drift_scan_matches_exact_rational_oracle():
+    # the float values are a few roundings of sums below 200 here, off by far less than the
+    # margin; no box state lies within it of 0, so the violation set is decided exactly
+    margin = Fraction(1, 10**9)
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        p = int(rng.integers(1, 5))
+        coeffs = tuple(float(x) for x in rng.uniform(-2.0, 0.9 / p, size=p))
+        params = Params(p=p, coeffs=coeffs, lam=float(rng.uniform(0.1, 3.0)))
+        eps = float(rng.uniform(0.05, 0.95)) * (1.0 - params.positive_sum) / p
+        radius = int(rng.integers(0, 13 if p < 4 else 7))
+        value = _exact_linear_drift(params, eps)
+        exact = {x: value(x) for x in itertools.product(range(radius + 1), repeat=p)}
+        assert all(abs(v) > margin for v in exact.values())
+        above = {x for x, v in exact.items() if v > 0}
+        report = linear_drift_scan(params, eps, radius)
+        assert report.violations_total == len(report.violation_set)
+        assert set(report.violation_set) == above, params
+        assert abs(Fraction(report.k_bound) - max(exact[x] for x in above)) <= margin  # the origin violates
+        assert report.shell_clean == all(max(x) < radius for x in above)
+
+
 def test_linear_drift_scan_rejects_oversized_epsilon():
     params = Params(p=2, coeffs=(0.5, 0.3), lam=1.0)
     with pytest.raises(ValueError):
         linear_drift_scan(params, 0.5, 10)  # eta/p = 0.1
 
 
+def _drift_terms(params3, alpha, state):
+    """(clipped, Delta V_alpha, V_alpha) at one state, by the scan's own _jk_terms/_i_terms."""
+    i, j, k = state
+    return drift._i_terms(params3, alpha, i, drift._jk_terms(params3, alpha, j, k))
+
+
 def test_v_alpha_values():
-    assert v_alpha(1.0, (0, 0, 0)) == 1.0
-    assert v_alpha(1.0, (2, 1, 0)) == pytest.approx(2.5)
+    params = Params.p3(2.5, -1.0, -3.0, lam=1.0)  # V_alpha does not depend on the coefficients
+    assert _drift_terms(params, 1.0, (0, 0, 0))[2] == 1.0
+    assert _drift_terms(params, 1.0, (2, 1, 0))[2] == pytest.approx(2.5)
 
 
 def test_v_alpha_bounded_on_cleared_states():
+    params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
     rng = np.random.default_rng(43)
     for _ in range(200):
         alpha = rng.uniform(0.05, 3.0)
         i, j = int(rng.integers(0, 1000)), int(rng.integers(0, 1000))
-        assert v_alpha(alpha, (0, i, j)) <= max(2.0, alpha + 1.0) + 1e-12
+        assert _drift_terms(params, alpha, (0, i, j))[2] <= max(2.0, alpha + 1.0) + 1e-12
 
 
 def test_delta_v_alpha_zero_state_is_lam():
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
     aq = cubic_report(2.5, -1.0, -3.0).alpha_q
-    assert delta_v_alpha(params, aq, (0, 0, 0)) == pytest.approx(params.lam)
+    assert _drift_terms(params, aq, (0, 0, 0))[1] == pytest.approx(params.lam)
 
 
 def test_delta_v_alpha_matches_truncated_expectation():
@@ -164,11 +211,10 @@ def test_delta_v_alpha_matches_truncated_expectation():
         state = tuple(int(v) for v in rng.integers(0, 25, size=3))
         s = intensity(params, state)
         top = int(math.ceil(s + 20 * math.sqrt(s) + 60))
-        expected = sum(
-            transition_pmf(params, state, ell) * v_alpha(aq, (ell, state[0], state[1]))
-            for ell in range(top + 1)
-        ) - v_alpha(aq, state)
-        assert delta_v_alpha(params, aq, state) == pytest.approx(expected, abs=1e-8)
+        _, dv, v = _drift_terms(params, aq, state)
+        v_next = drift._i_terms(params, aq, np.arange(top + 1), drift._jk_terms(params, aq, *state[:2]))[2]
+        expected = sum(transition_pmf(params, state, ell) * v_next[ell] for ell in range(top + 1)) - v
+        assert dv == pytest.approx(expected, abs=1e-8)
 
 
 def test_q_form_on_basis_vectors():
@@ -301,8 +347,7 @@ def test_scan_violations_reference_point():
     assert report.shell_clean
     assert 0 < report.violations_total < 100
     for state in report.violation_set[:20]:
-        val = delta_v_alpha(params, aq, state) + report.epsilon * v_alpha(aq, state)
-        assert val > 0.0
+        assert _exact_drift(params, aq, report.epsilon, state)[0] > 0
     assert report.k_bound > 0.0
 
 
@@ -421,7 +466,7 @@ def test_drift_terms_keep_the_evaluation_order():
         for i, j, k in layouts:
             shape = np.broadcast_shapes(*map(np.shape, (i, j, k)))
             jk = drift._jk_terms(params, alpha, j, k)
-            got = drift._i_terms(params, alpha, i, jk, drift._buffers(shape))
+            got = drift._i_terms(params, alpha, i, jk)
             s = a * i + b * j + c * k + params.lam
             num = i + alpha * j
             ratio = num / (j + alpha * k + 1.0)
@@ -545,7 +590,7 @@ def test_k_global_bounds_clipped_states_off_the_box():
     for state in ((150, 0, 5000), (1000, 0, 10**8), (10**6, 0, 10**12), (10**4, 3, 10**9)):
         exact, s = _exact_drift(params, alpha, eps, state)
         assert s <= 0 and max(state) > cert.report.box_radius  # clipped, off the box
-        values.append(delta_v_alpha(params, alpha, state) + eps * v_alpha(alpha, state))
+        values.append(exact)
         assert exact < Fraction(cert.k_global)
     assert values[0] > cert.report.k_bound + 0.04
     assert values[2] > cert.k_global - 1e-5
@@ -613,7 +658,7 @@ def test_block_bounds_cover_every_state_of_a_block():
         ii, jj, kk = (np.arange(x, y + 1, dtype=np.float64) for x, y in ((i0, i1), (j0, j1), (k0, k1)))
         shape = (len(ii), len(jj), len(kk))
         jk = drift._jk_terms(params, alpha, jj[:, None], kk)
-        in_a, dv, v = drift._i_terms(params, alpha, ii[:, None, None], jk, drift._buffers(shape))
+        in_a, dv, v = drift._i_terms(params, alpha, ii[:, None, None], jk)
         dv += epsilon * v
         for (x, y, z), clipped, computed in zip(np.ndindex(shape), in_a.ravel(), dv.ravel()):
             state = (i0 + x, j0 + y, k0 + z)
