@@ -3,10 +3,10 @@
 Rules are checked in a fixed priority order, strongest first, and the
 rule that fired is reported alongside the verdict.  Every rule predicate
 works on arrays, one entry per point, so `classify_p3` decides a whole
-grid in one pass and `classify` is its one-point case.  Proven ergodic
-and proven transient regions never overlap; if both kinds of rule match
-a point, the classifier raises instead of silently picking one, since
-that means a rule predicate is wrong.
+grid in one pass and `classify` is the one-point case at any p.  Proven
+ergodic and proven transient regions never overlap; if both kinds of
+rule match a point, the classifier raises instead of silently picking
+one, since that means a rule predicate is wrong.
 """
 
 from __future__ import annotations
@@ -63,14 +63,14 @@ class RegionLabel:
 
 @dataclass(frozen=True)
 class RegionLabels:
-    """Labels of n p = 3 points from one batched decision; labels[i] is point i's RegionLabel."""
+    """Labels of n points from one batched decision; labels[i] is point i's RegionLabel."""
 
     verdicts: list[Verdict]
     rules: list[str]
-    reports: CubicReports
+    reports: CubicReports | None  # the p = 3 witnesses; None at other p
 
     def __getitem__(self, i: int) -> RegionLabel:
-        return RegionLabel(self.verdicts[i], self.rules[i], self.reports[i])
+        return RegionLabel(self.verdicts[i], self.rules[i], self.reports and self.reports[i])
 
 
 def _lt(x, y):
@@ -89,34 +89,30 @@ class _Points:
     pos: np.ndarray  # sum of the positive parts of the coefficients
     total: np.ndarray  # sum of the coefficients
     nonneg: np.ndarray  # every coefficient >= 0
-    abc: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # None at p != 3
-    rep: CubicReports | None  # the p = 3 cubic reports; None at other p and in growth_rule
+    cols: tuple[np.ndarray, ...]  # the coefficients, one array per lag
+    rep: CubicReports | None  # the p = 3 cubic reports; None at other p and without cubic
 
 
-def _one_point(params: Params) -> _Points:
-    """The _Points of one parameter vector, without a cubic report."""
-    coeffs = params.coeffs
-    return _Points(
-        pos=np.array([params.positive_sum]),
-        total=np.array([sum(coeffs)]),
-        nonneg=np.array([all(x >= 0.0 for x in coeffs)]),
-        abc=tuple(np.array([x]) for x in coeffs) if params.p == 3 else None,
-        rep=None,
-    )
-
-
-def _never(x: _Points) -> np.ndarray:
-    return np.zeros(len(x.pos), dtype=bool)
+def _points(cols, cubic: bool) -> _Points:
+    """The _Points of the points whose lag-l coefficients are the array cols[l]; rep only if cubic."""
+    rep = cubic_reports(*cols) if cubic and len(cols) == 3 else None  # first: lower peak memory
+    pos = total = 0.0  # summed left to right, one lag at a time; rule texts quote these sums
+    nonneg = True
+    for col in cols:
+        pos = pos + np.maximum(col, 0.0)
+        total = total + col
+        nonneg = nonneg & (col >= 0.0)
+    return _Points(pos, total, nonneg, tuple(cols), rep)
 
 
 def _p3(pred):
     """A rule predicate on the p = 3 coefficients; it never matches at other p."""
-    return lambda x: pred(*x.abc) if x.abc is not None else _never(x)
+    return lambda x: pred(*x.cols) if len(x.cols) == 3 else np.zeros_like(x.nonneg)
 
 
 def _cubic(pred):
     """A rule predicate on the p = 3 cubic reports; it never matches at other p."""
-    return lambda x: pred(x.rep) if x.rep is not None else _never(x)
+    return lambda x: pred(x.rep) if x.rep is not None else np.zeros_like(x.nonneg)
 
 
 def _c_disc_negative(rep: CubicReports) -> np.ndarray:
@@ -149,7 +145,7 @@ def growth_rule(params: Params) -> Verdict | None:
     a verdict `classify` returns the same one.  It computes no
     discriminant, so it cannot overflow.
     """
-    x = _one_point(params)
+    x = _points([np.array([v]) for v in params.coeffs], cubic=False)
     with np.errstate(over="ignore", invalid="ignore"):
         return next((verdict for verdict, pred in _GROWTH if pred(x)[0]), None)
 
@@ -163,7 +159,7 @@ _RULES = (
      "ergodic: sum of positive parts {pos:.6g} < 1"),
     (Verdict.TRANSIENT_LINEAR, _linear,
      "transient: all coefficients >= 0 and sum {total:.6g} > 1"),
-    (Verdict.UNKNOWN, lambda x: np.full(len(x.pos), x.rep is None),
+    (Verdict.UNKNOWN, lambda x: np.full(len(x.pos), len(x.cols) != 3),
      "no rule applies (cubic rules need p=3)"),
     (Verdict.BOUNDARY, _cubic(lambda r: r.on_boundary & _lt(r.c, 0.0) & ~_gt(r.b, 1.0)),
      "Disc within the zero-surface band; discriminant-based rules withheld"),
@@ -209,6 +205,28 @@ def _decide(x: _Points, point) -> np.ndarray:
     return masks.argmax(axis=0)
 
 
+def _labels(cols, lam: float) -> RegionLabels:
+    """classify_p3 at any p: the lag-l coefficients of point i are cols[l][i]."""
+    cols = [np.asarray(col, dtype=np.float64) for col in cols]
+
+    def point(i: int) -> Params:
+        return Params(p=len(cols), coeffs=tuple(float(col[i]) for col in cols), lam=lam)
+
+    if len(cols[0]):
+        finite = np.logical_and.reduce([np.isfinite(col) for col in cols])
+        i = int(np.argmin(finite))  # the first point with a non-finite coefficient, else 0
+        if not finite[i]:
+            _points([col[:i] for col in cols], cubic=True)  # an earlier point may overflow Disc first
+        point(i)  # raises where Params would
+    x = _points(cols, cubic=True)
+    fired = _decide(x, point)
+    rows = [_RULES[k] for k in fired.tolist()]
+    rules = [text for _, _, text in rows]
+    for i in np.flatnonzero(_QUOTING_ROWS[fired]).tolist():
+        rules[i] = rules[i].format(pos=float(x.pos[i]), total=float(x.total[i]))
+    return RegionLabels(verdicts=[verdict for verdict, _, _ in rows], rules=rules, reports=x.rep)
+
+
 def classify_p3(a, b, c, lam: float = 1.0) -> RegionLabels:
     """Labels of the p = 3 points (a[i], b[i], c[i]), decided in one pass over the rule table.
 
@@ -216,23 +234,7 @@ def classify_p3(a, b, c, lam: float = 1.0) -> RegionLabels:
     gets, with the same errors: the first point that cannot be classified
     raises what classify would raise there.
     """
-    a, b, c = (np.asarray(x, dtype=np.float64) for x in (a, b, c))
-    if len(a):
-        finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
-        i = int(np.argmin(finite))  # the first point with a non-finite coefficient, else 0
-        if not finite[i]:
-            cubic_reports(a[:i], b[:i], c[:i])  # an earlier point may overflow Disc first
-        Params.p3(float(a[i]), float(b[i]), float(c[i]), lam)  # raises where Params would
-    rep = cubic_reports(a, b, c)
-    pos = 0.0 + np.maximum(a, 0.0) + np.maximum(b, 0.0) + np.maximum(c, 0.0)
-    total = 0.0 + a + b + c
-    x = _Points(pos, total, (a >= 0.0) & (b >= 0.0) & (c >= 0.0), (a, b, c), rep)
-    fired = _decide(x, lambda i: Params.p3(float(a[i]), float(b[i]), float(c[i]), lam))
-    rows = [_RULES[k] for k in fired.tolist()]
-    rules = [text for _, _, text in rows]
-    for i in np.flatnonzero(_QUOTING_ROWS[fired]).tolist():
-        rules[i] = rules[i].format(pos=float(pos[i]), total=float(total[i]))
-    return RegionLabels(verdicts=[verdict for verdict, _, _ in rows], rules=rules, reports=rep)
+    return _labels((a, b, c), lam)
 
 
 def classify(params: Params) -> RegionLabel:
@@ -241,16 +243,10 @@ def classify(params: Params) -> RegionLabel:
     Priority (the order of _RULES): the general positive-part criterion
     and the nonnegative supercritical criterion apply for any p; for
     p = 3 the cubic results follow, then the c = 0 reduction to the
-    memory-2 frontier, then the conjectured region, then Unknown.  A
-    p = 3 point is the one-point case of classify_p3, and its cubic
-    report is returned as the witness.
+    memory-2 frontier, then the conjectured region, then Unknown.  Any p
+    is one point of classify_p3's batched decision; the p = 3 witness is its cubic report.
     """
-    if not all(math.isfinite(x) for x in params.coeffs) or not math.isfinite(params.lam):
-        raise ValueError("classify requires finite parameters")
-    if params.p == 3:
-        return classify_p3(*([x] for x in params.abc), params.lam)[0]
-    verdict, _, text = _RULES[_decide(_one_point(params), lambda i: params)[0]]
-    return RegionLabel(verdict, text.format(pos=params.positive_sum, total=sum(params.coeffs)))
+    return _labels([[x] for x in params.coeffs], params.lam)[0]
 
 
 def grid_count(start: float, stop: float, step: float) -> int:

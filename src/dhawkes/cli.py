@@ -48,10 +48,9 @@ EXIT_ANOMALY = 4
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        values = [float(v) for v in text.split(",") if v != ""]
-        if not values:
-            raise ValueError("no numbers")
-        return values
+        if "" in text.split(","):
+            raise ValueError("empty item")
+        return [float(v) for v in text.split(",")]
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}: {e}") from None
 
@@ -175,13 +174,21 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object of the config file as a dict; ValueError when it gives a key twice."""
+    for i, (key, _) in enumerate(pairs):
+        if any(key == k for k, _ in pairs[:i]):
+            raise ValueError(f"config has key {key!r} twice")
+    return dict(pairs)
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, HAWKES_SEED and explicit flags."""
     command = args.command
     merged = dict(DEFAULTS[command])
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            loaded = json.load(f)
+            loaded = json.load(f, object_pairs_hook=_unique_keys)
         if not isinstance(loaded, dict):
             raise ValueError("config root must be a JSON object")
         cfg_cmd = loaded.pop("command", command)

@@ -67,8 +67,6 @@ class SmallSetCheck:
     verified: bool
     witness_probability: float
     bound: float
-    states_checked: int
-    analytic_tail: bool
 
 
 # ---------------------------------------------------------------------------
@@ -377,61 +375,32 @@ def _shell_epsilon(params3: Params, alpha: float, r: int) -> tuple[float, float]
     return (EPSILONS[idx], largest - EPSILONS[idx]) if idx < len(EPSILONS) else None
 
 
-def small_set_applicable(params3: Params) -> bool:
-    """The clipped set is provably small only when b <= 0 and c <= 0."""
-    _, b, c = params3.abc
-    return b <= 0.0 and c <= 0.0
-
-
 def verify_small_set(params3: Params, box_radius: int) -> SmallSetCheck:
     """Check the 3-step return bound from every clipped state in the box.
 
     From a state with zero intensity the chain moves deterministically to
     (0, i, j), and with b, c <= 0 the next two zero draws each have
     probability at least e^(-lam), giving P^3(x, 0) >= e^(-2*lam).  The
-    bound is evaluated exactly here for each clipped (i, j) pair; states
-    outside the box satisfy the same bound by the identical argument
-    (analytic_tail), since enlarging i, j, k only shrinks the clipped
-    intensities.
+    bound is evaluated exactly here for each clipped (i, j) pair (the
+    witness is 1 when the box has none); states outside the box satisfy
+    the same bound by the identical argument, since enlarging i, j, k
+    only shrinks the clipped intensities.
     """
     if params3.p != 3:
         raise ValueError(f"requires p=3, got p={params3.p}")
     a, b, c = params3.abc
-    if not small_set_applicable(params3):
+    if b > 0.0 or c > 0.0:
         raise ValueError(f"small-set bound needs b <= 0 and c <= 0, got b={b} c={c}")
     lam = params3.lam
-    r = box_radius
-    axis = np.arange(r + 1, dtype=np.float64)
+    axis = np.arange(box_radius + 1, dtype=np.float64)
     ii, jj = np.meshgrid(axis, axis, indexing="ij")
     # s(i,j,k) is nonincreasing in k (c <= 0), so (i,j,.) meets the
-    # clipped set inside the box iff s(i, j, r) <= 0.
-    member = a * ii + b * jj + c * r + lam <= 0.0
-    if not member.any():
-        return SmallSetCheck(
-            verified=True,
-            witness_probability=1.0,
-            bound=math.exp(-2.0 * lam),
-            states_checked=0,
-            analytic_tail=True,
-        )
-    p3 = np.exp(
-        -np.maximum(b * ii + c * jj + lam, 0.0) - np.maximum(c * ii + lam, 0.0)
-    )
-    witness = float(p3[member].min())
-    if c < 0.0:
-        k_min = np.ceil(np.maximum((a * ii + b * jj + lam) / (-c), 0.0))
-        counts = np.where(member, r + 1 - k_min, 0.0)
-        states = int(counts.sum())
-    else:
-        states = int(member.sum()) * (r + 1)
+    # clipped set inside the box iff s(i, j, box_radius) <= 0.
+    member = a * ii + b * jj + c * box_radius + lam <= 0.0
+    p3 = np.exp(-np.maximum(b * ii + c * jj + lam, 0.0) - np.maximum(c * ii + lam, 0.0))
+    witness = float(p3.min(initial=1.0, where=member))
     bound = math.exp(-2.0 * lam)
-    return SmallSetCheck(
-        verified=witness >= bound - 1e-12,
-        witness_probability=witness,
-        bound=bound,
-        states_checked=states,
-        analytic_tail=True,
-    )
+    return SmallSetCheck(verified=witness >= bound - 1e-12, witness_probability=witness, bound=bound)
 
 
 # ---------------------------------------------------------------------------

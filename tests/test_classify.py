@@ -137,10 +137,11 @@ def test_growth_rule_agrees_with_classify():
     # the simulator reads its growth cones off growth_rule
     rng = np.random.default_rng(35)
     cone_rules = {Verdict.TRANSIENT_AXES, Verdict.TRANSIENT_OSCILLATING, Verdict.TRANSIENT_LINEAR}
-    for _ in range(2000):
-        params = Params.p3(*rng.uniform(-6, 6, size=3))
-        verdict = classify(params).verdict
-        assert growth_rule(params) == (verdict if verdict in cone_rules else None), params
+    for p in (3, 2, 4):
+        for _ in range(2000):
+            params = Params(p=p, coeffs=tuple(rng.uniform(-6, 6, size=p)), lam=1.0)
+            verdict = classify(params).verdict
+            assert growth_rule(params) == (verdict if verdict in cone_rules else None), params
     assert growth_rule(Params.p3(-1.0, -1.0, 1.1)) is Verdict.TRANSIENT_AXES
     assert growth_rule(Params.p3(-1.0, 1.1, 0.5)) is Verdict.TRANSIENT_OSCILLATING
     assert growth_rule(Params(p=2, coeffs=(0.4, 2.0), lam=1.0)) is Verdict.TRANSIENT_LINEAR

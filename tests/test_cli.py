@@ -545,7 +545,10 @@ def test_fix_repeated_name_exits_2(capsys):
     (["grid", "--b-range=-1:0", "--c-range=-1:0", "--step", "0.5"], {"a_values": []}),
     (["classify", "--coeffs=", "-a", "0.5"], None),
     (["classify", "-a", "0.5"], {"coeffs": []}),
-], ids=["grid-flag", "grid-config", "classify-flag", "classify-config"])
+    (["grid", "--a-values", "0.5,,1,", "--b-range=-1:0", "--c-range=-1:0", "--step", "0.5"], None),
+    (["classify", "--coeffs", "0.5,,0.2"], None),
+], ids=["grid-flag", "grid-config", "classify-flag", "classify-config", "grid-empty-item",
+        "classify-empty-item"])
 def test_empty_number_list_exits_2(argv, config, tmp_path, capsys):
     # grid used to write 0 cells and exit 0, and classify took an empty --coeffs for an absent one
     if config is not None:
@@ -562,6 +565,22 @@ def test_empty_number_list_exits_2(argv, config, tmp_path, capsys):
     assert (code, captured.out) == (2, "")
     assert "error:" in captured.err
     assert not list(tmp_path.glob("g.*"))
+
+
+@pytest.mark.parametrize("config", [
+    '{"fix": {"a": 3, "c": -15}, "replicas": 10, "replicas": 20}',
+    '{"fix": {"a": 1, "a": 3, "c": -15}, "replicas": 10}',
+], ids=["top-level", "fix"])
+def test_config_repeated_key_exits_2(config, tmp_path, capsys):
+    # json.load used to keep the last value: the fix case ran at a = 3 and exited 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    code = main(["sweep", "--sweep", "b=0", "--jobs", "1", "--config", str(cfg),
+                 "--out", str(tmp_path / "s"), "--echo-config", str(tmp_path / "s.echo.json")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "twice" in captured.err
+    assert not list(tmp_path.glob("s*"))
 
 
 def test_grid_command(tmp_path, capsys):

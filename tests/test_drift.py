@@ -21,7 +21,6 @@ from dhawkes.drift import (
     certify_drift,
     q_form_negativity_check,
     scan_violations,
-    small_set_applicable,
     linear_drift_coeffs,
     linear_delta_v,
     linear_drift_scan,
@@ -547,10 +546,8 @@ def test_verify_small_set_reference_point():
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
     check = verify_small_set(params, 60)
     assert check.verified
-    assert check.states_checked > 0
     assert check.bound == pytest.approx(math.exp(-2.0), abs=1e-15)
     assert check.witness_probability >= check.bound - 1e-12
-    assert check.analytic_tail
 
 
 def test_verify_small_set_forced_first_step():
@@ -561,10 +558,18 @@ def test_verify_small_set_forced_first_step():
     assert check.witness_probability == pytest.approx(math.exp(-2.0), abs=1e-12)
 
 
+def test_verify_small_set_box_without_clipped_state():
+    # a*i + b*j + c*k + lam >= 0.8 on [0, 1]^3: no clipped state, so the witness is 1
+    check = verify_small_set(Params.p3(0.5, -0.1, -0.1, lam=1.0), 1)
+    assert check.verified
+    assert check.witness_probability == 1.0
+    assert check.bound == math.exp(-2.0)
+
+
 def test_verify_small_set_precondition():
-    with pytest.raises(ValueError):
-        verify_small_set(Params.p3(2.5, 0.5, -3.0), 10)
-    assert not small_set_applicable(Params.p3(2.5, 0.5, -3.0))
+    for abc in [(2.5, 0.5, -3.0), (2.5, -0.5, 0.3)]:
+        with pytest.raises(ValueError, match="needs b <= 0 and c <= 0"):
+            verify_small_set(Params.p3(*abc), 10)
 
 
 def test_certify_drift_end_to_end():
