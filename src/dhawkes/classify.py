@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubic import CubicReport, CubicReports, b_star, cubic_reports
-from .model import Params
+from .model import Params, check_lam
 
 # Strict inequalities only: values within TOL of a rule threshold fall
 # through to Boundary/Unknown rather than being classified.
@@ -98,10 +98,11 @@ def _points(cols, cubic: bool) -> _Points:
     rep = cubic_reports(*cols) if cubic and len(cols) == 3 else None  # first: lower peak memory
     pos = total = 0.0  # summed left to right, one lag at a time; rule texts quote these sums
     nonneg = True
-    for col in cols:
-        pos = pos + np.maximum(col, 0.0)
-        total = total + col
-        nonneg = nonneg & (col >= 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the sums may overflow to inf
+        for col in cols:
+            pos = pos + np.maximum(col, 0.0)
+            total = total + col
+            nonneg = nonneg & (col >= 0.0)
     return _Points(pos, total, nonneg, tuple(cols), rep)
 
 
@@ -146,7 +147,7 @@ def growth_rule(params: Params) -> Verdict | None:
     discriminant, so it cannot overflow.
     """
     x = _points([np.array([v]) for v in params.coeffs], cubic=False)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the oscillating rule's ab + c may overflow
         return next((verdict for verdict, pred in _GROWTH if pred(x)[0]), None)
 
 
@@ -186,40 +187,32 @@ _TRANSIENT_ROWS = np.array([verdict in TRANSIENT_VERDICTS for verdict, _, _ in _
 _QUOTING_ROWS = np.array(["{" in text for _, _, text in _RULES])  # the texts that quote a number
 
 
-def _decide(x: _Points, point) -> np.ndarray:
+def _decide(x: _Points, lam: float) -> np.ndarray:
     """Index into _RULES of the first rule that matches each point.
 
     RuntimeError at the first point that an ergodic and a transient rule
-    both match; point(i) is the Params quoted for it.
+    both match, quoting that point's Params.
     """
     masks = np.array([pred(x) for _, pred, _ in _RULES])
     conflict = masks[_ERGODIC_ROWS].any(axis=0) & masks[_TRANSIENT_ROWS].any(axis=0)
     if conflict.any():
         i = int(conflict.argmax())
         fired = [verdict for (verdict, _, _), m in zip(_RULES, masks[:, i]) if m]
+        point = Params(p=len(x.cols), coeffs=tuple(float(col[i]) for col in x.cols), lam=lam)
         raise RuntimeError(
             f"rule conflict: ergodic {[v for v in fired if v in ERGODIC_VERDICTS]} and "
             f"transient {[v for v in fired if v in TRANSIENT_VERDICTS]} "
-            f"both match {point(i)}; a rule predicate is wrong"
+            f"both match {point}; a rule predicate is wrong"
         )
     return masks.argmax(axis=0)
 
 
 def _labels(cols, lam: float) -> RegionLabels:
     """classify_p3 at any p: the lag-l coefficients of point i are cols[l][i]."""
-    cols = [np.asarray(col, dtype=np.float64) for col in cols]
-
-    def point(i: int) -> Params:
-        return Params(p=len(cols), coeffs=tuple(float(col[i]) for col in cols), lam=lam)
-
-    if len(cols[0]):
-        finite = np.logical_and.reduce([np.isfinite(col) for col in cols])
-        i = int(np.argmin(finite))  # the first point with a non-finite coefficient, else 0
-        if not finite[i]:
-            _points([col[:i] for col in cols], cubic=True)  # an earlier point may overflow Disc first
-        point(i)  # raises where Params would
-    x = _points(cols, cubic=True)
-    fired = _decide(x, point)
+    check_lam(lam)
+    # at p = 3, cubic_reports raises at the first point with a non-finite coefficient or an overflow
+    x = _points([np.asarray(col, dtype=np.float64) for col in cols], cubic=True)
+    fired = _decide(x, lam)
     rows = [_RULES[k] for k in fired.tolist()]
     rules = [text for _, _, text in rows]
     for i in np.flatnonzero(_QUOTING_ROWS[fired]).tolist():
@@ -231,8 +224,8 @@ def classify_p3(a, b, c, lam: float = 1.0) -> RegionLabels:
     """Labels of the p = 3 points (a[i], b[i], c[i]), decided in one pass over the rule table.
 
     Point i gets the label classify(Params.p3(a[i], b[i], c[i], lam))
-    gets, with the same errors: the first point that cannot be classified
-    raises what classify would raise there.
+    gets.  ValueError where lam is not finite and > 0, and otherwise at the
+    first point that classify cannot classify, with cubic_report's error.
     """
     return _labels((a, b, c), lam)
 

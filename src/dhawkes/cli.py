@@ -206,8 +206,12 @@ def _resolve(args: argparse.Namespace) -> dict:
             if key == "sweep" and val is not None:
                 val = (val[0], [float(v) for v in val[1]])
             merged[key] = val
-    if "seed" in merged and os.environ.get("HAWKES_SEED"):
-        merged["seed"] = int(os.environ["HAWKES_SEED"])
+    seed = os.environ.get("HAWKES_SEED")
+    if "seed" in merged and seed:
+        try:
+            merged["seed"] = int(seed)
+        except ValueError:
+            raise ValueError(f"HAWKES_SEED must be an integer, got {seed!r}") from None
     for key in merged:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
@@ -419,26 +423,12 @@ def _json_chunks(o: object, nl: str) -> Iterator[str]:
         yield nl + "]"
 
 
-_SWEEP_COLUMNS = (
-    "swept_value", "exploded", "N", "proportion", "ci_lower", "ci_upper", "mean_tau_returned",
-    "censored",
-)
-_GRID_COLUMNS = GridCell._fields
+def _mirror(rows: Sequence[tuple]) -> list[dict]:
+    """JSON rows of a CSV table of NamedTuple records: one object per row, keyed by field."""
+    return [row._asdict() for row in rows]
 
 
-def _sweep_record(r: SweepRow) -> tuple:
-    return (
-        r.value, r.exploded, r.replicas, r.proportion,
-        r.interval.lower, r.interval.upper, r.mean_tau_returned, r.censored,
-    )
-
-
-def _mirror(columns: tuple[str, ...], records: Sequence[tuple]) -> list[dict]:
-    """JSON rows of a CSV table: one object per record, keyed by column."""
-    return [dict(zip(columns, rec)) for rec in records]
-
-
-def _sweep_json(spec: SweepSpec, records: list[tuple]) -> dict:
+def _sweep_json(spec: SweepSpec, rows: list[SweepRow]) -> dict:
     return {
         "fixed": spec.fixed,
         "sweep": spec.sweep_name,
@@ -448,7 +438,7 @@ def _sweep_json(spec: SweepSpec, records: list[tuple]) -> dict:
         "horizon": spec.sim.horizon_n,
         "explosion_threshold": spec.sim.explosion_threshold_m,
         "master_seed": spec.sim.master_seed,
-        "rows": _mirror(_SWEEP_COLUMNS, records),
+        "rows": _mirror(rows),
     }
 
 
@@ -532,15 +522,14 @@ def cmd_sweep(merged: dict) -> int:
     rows = sweep_explosion(spec)
     if merged["out"]:
         base = merged["out"].removesuffix(".csv")
-        records = [_sweep_record(r) for r in rows]
-        write_csv(base + ".csv", _SWEEP_COLUMNS, records)
-        write_json(_sweep_json(spec, records), base + ".json")
+        write_csv(base + ".csv", SweepRow._fields, rows)
+        write_json(_sweep_json(spec, rows), base + ".json")
         print(f"sweep: {len(rows)} points x {spec.replicas} replicas -> {base}.csv")
     else:
         for r in rows:
             print(
-                f"{spec.sweep_name}={_fmt(r.value)} exploded={r.exploded}/{r.replicas} "
-                f"ci=[{_fmt(r.interval.lower)},{_fmt(r.interval.upper)}]"
+                f"{spec.sweep_name}={_fmt(r.swept_value)} exploded={r.exploded}/{r.N} "
+                f"ci=[{_fmt(r.ci_lower)},{_fmt(r.ci_upper)}]"
             )
     return EXIT_OK
 
@@ -624,8 +613,8 @@ def cmd_grid(merged: dict) -> int:
         merged["lam"],
     )
     base = (merged["out"] or "grid").removesuffix(".csv")
-    write_csv(base + ".csv", _GRID_COLUMNS, cells)
-    write_json({"cells": _mirror(_GRID_COLUMNS, cells)}, base + ".json")
+    write_csv(base + ".csv", GridCell._fields, cells)
+    write_json({"cells": _mirror(cells)}, base + ".json")
     print(f"grid: {len(cells)} cells -> {base}.csv")
     return EXIT_OK
 
@@ -648,7 +637,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.echo_config:
             write_json({"command": args.command, **merged}, args.echo_config)
         return _HANDLERS[args.command](merged)
-    except (ValueError, json.JSONDecodeError) as e:
+    except (ValueError, OverflowError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:

@@ -33,7 +33,7 @@ from .simulate import (
     run_excursion,
     run_trajectory,
 )
-from .stats import ConfidenceInterval, clopper_pearson, ecdf
+from .stats import clopper_pearson, ecdf
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,6 +81,9 @@ class SweepSpec:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("swept values must be finite")
+        repeated = [v for v, n in Counter(self.values).items() if n > 1]  # 0.0 and -0.0 are one value
+        if repeated:
+            raise ValueError(f"swept value {repeated[0]} given twice")
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if not (0.0 < self.alpha < 1.0):
@@ -93,13 +96,15 @@ class SweepSpec:
         return Params.p3(coeffs["a"], coeffs["b"], coeffs["c"], self.lam)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    value: float
+class SweepRow(NamedTuple):
+    """One swept point; the fields are the sweep table's columns, in order."""
+
+    swept_value: float
     exploded: int
-    replicas: int
+    N: int  # replicas run
     proportion: float
-    interval: ConfidenceInterval
+    ci_lower: float  # the exact (Clopper-Pearson) interval of the proportion
+    ci_upper: float
     mean_tau_returned: float | None
     censored: int  # reached the horizon neither returned nor exploded
 
@@ -191,9 +196,10 @@ def sweep_explosion(spec: SweepSpec) -> list[SweepRow]:
         kinds = Counter(o.kind for o in outcomes)
         exploded, n = kinds[ExcursionKind.EXPLODED], spec.replicas
         returned = [o.steps for o in outcomes if o.kind is ExcursionKind.RETURNED]
+        interval = clopper_pearson(exploded, n, spec.alpha)
         return SweepRow(
-            value=value, exploded=exploded, replicas=n, proportion=exploded / n,
-            interval=clopper_pearson(exploded, n, spec.alpha),
+            swept_value=value, exploded=exploded, N=n, proportion=exploded / n,
+            ci_lower=interval.lower, ci_upper=interval.upper,
             mean_tau_returned=sum(returned) / len(returned) if returned else None,
             censored=kinds[ExcursionKind.CENSORED],
         )

@@ -37,8 +37,7 @@ class Params:
             raise ValueError(f"expected {self.p} coefficients, got {len(coeffs)}")
         if not all(math.isfinite(x) for x in coeffs):
             raise ValueError(f"coefficients must be finite, got {coeffs}")
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        check_lam(self.lam)
 
     @classmethod
     def p3(cls, a: float, b: float, c: float, lam: float = 1.0) -> "Params":
@@ -56,6 +55,12 @@ class Params:
             raise ValueError(f"abc requires p=3, got p={self.p}")
         a, b, c = self.coeffs
         return a, b, c
+
+
+def check_lam(lam: float) -> None:
+    """ValueError unless the baseline lam is finite and > 0."""
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be finite and > 0, got {float(lam)}")
 
 
 def check_state(state: State, p: int) -> None:
@@ -78,12 +83,16 @@ def check_state(state: State, p: int) -> None:
 def intensity(params: Params, state: State) -> float:
     """Poisson mean for the next count: (sum_i a_i x_i + lam)_+.
 
-    Raises ValueError on dimension mismatch or negative counts.
+    Raises ValueError on dimension mismatch or negative counts, and
+    OverflowError where the sum is +inf or nan (inf - inf): the state is
+    past float64's range.
     """
     check_state(state, params.p)
     s = params.lam
     for a_i, x_i in zip(params.coeffs, state):
         s += a_i * x_i
+    if not s < math.inf:
+        raise OverflowError(f"intensity sum {s} is past float64's range")
     return s if s > 0.0 else 0.0
 
 

@@ -17,10 +17,11 @@ or below it runs one compiled loop per p; once a fresh count exceeds it,
 the excursion keeps drawing until it returns (it is then RETURNED, with
 its true length and peak), or escape is certified (EXPLODED), or the
 horizon is reached.  Escape is certified by a count above an overflow
-guard (1e300), or by entering the growth cone of one of the classifier's
-growth rules (nonnegative coefficients summing above 1, any p; the
-oscillating and axes rules, p = 3), from which the chain leaves the
-growth pattern with probability at most 1e-18.  Following the usual convention
+guard (1e300), by a state whose intensity sum leaves float64's range,
+or by entering the growth cone of one of the classifier's growth rules
+(nonnegative coefficients summing above 1, any p; the oscillating and
+axes rules, p = 3), from which the chain leaves the growth pattern with
+probability at most 1e-18.  Following the usual convention
 the recorded length of an exploded excursion is horizon + 1, a sentinel
 one past the censoring value.
 
@@ -218,23 +219,13 @@ def _cone(params: Params) -> tuple[Verdict, float] | None:
     return rule, level
 
 
-def escape_level(params: Params) -> float | None:
-    """Cone level M above which a growth-cone state certifies escape.
-
-    None where none of the linear, oscillating and axes transience rules
-    of `classify` applies; escape is then certified by the overflow guard only.
-    """
-    cone = _cone(params)
-    return None if cone is None else cone[1]
-
-
 def escaped(params: Params, state: State) -> bool:
     """Whether escape from `state` is certified.
 
     True for a count above OVERFLOW_GUARD; under the linear rule (any p)
-    for a window whose minimum is >= escape_level(params); and for p = 3
-    for the cone states (0, X, 0) under the oscillating rule and
-    (0, 0, X) under the axes rule with X >= escape_level(params).
+    for a window whose minimum is >= M, the cone level of _cone(params);
+    and for p = 3 for the cone states (0, X, 0) under the oscillating rule
+    and (0, 0, X) under the axes rule with X >= M.
     """
     if max(state) > OVERFLOW_GUARD:
         return True
@@ -261,6 +252,8 @@ def _follow(
     """Continue an excursion from `state` after step n, drawing through `step`.
 
     Escape is checked only once a count above the threshold has been drawn.
+    A state whose intensity sum is past float64's range (+inf, or nan from
+    inf - inf) also certifies escape, as a count above OVERFLOW_GUARD does.
     """
     horizon = cfg.horizon_n
     crossed = peak > cfg.explosion_threshold_m
@@ -268,7 +261,10 @@ def _follow(
         if n == horizon:
             return ExcursionOutcome(ExcursionKind.CENSORED, horizon, peak)
         n += 1
-        state = step(params, state, rng)
+        try:
+            state = step(params, state, rng)
+        except OverflowError:  # raised by intensity, before any draw
+            break
         if state[0] > peak:
             peak = state[0]
             crossed = peak > cfg.explosion_threshold_m
@@ -282,8 +278,8 @@ def run_excursion(params: Params, cfg: SimConfig, replica_index: int) -> Excursi
 
     Returned:  steps = first n >= 1 with the all-zero state, also after
                counts above the threshold.
-    Exploded:  steps = horizon + 1 (sentinel); some count exceeded the
-               threshold and escape is certified (see `escaped`).
+    Exploded:  steps = horizon + 1 (sentinel); escape is certified (see
+               `escaped` and `_follow`).
     Censored:  steps = horizon.
 
     Below the threshold the excursion runs in `_excursion_loop(p)`; from

@@ -51,7 +51,7 @@ def fig3_rows():
         alpha=0.01,
         jobs=JOBS,
     )
-    return {row.value: row for row in sweep_explosion(spec)}
+    return {row.swept_value: row for row in sweep_explosion(spec)}
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +118,7 @@ def test_criterion_03_phase_transition_at_b_equal_one(fig3_rows):
         assert fig3_rows[b].exploded > 0, f"b={b}: expected explosions"
     p2, p3, p4 = (fig3_rows[b].proportion for b in (2.0, 3.0, 4.0))
     assert p2 <= p3 <= p4, f"proportions not nondecreasing: {p2} {p3} {p4}"
-    assert fig3_rows[4.0].interval.lower > 0.0
+    assert fig3_rows[4.0].ci_lower > 0.0
     report(3, "explosion-proportion transition at b=1 (N=1e5 per point)")
 
 
@@ -135,7 +135,7 @@ def test_criterion_04_decrease_in_a(fig7_rows):
     quarter of the time; the a=8 check is therefore the strict decrease
     from a=4, by disjoint intervals, not an observed zero.
     """
-    by_a = {row.value: row for row in fig7_rows}
+    by_a = {row.swept_value: row for row in fig7_rows}
     failures = []
     if not by_a[0.5].exploded > 0:
         failures.append("a=0.5: expected strictly positive explosion proportion")
@@ -143,16 +143,17 @@ def test_criterion_04_decrease_in_a(fig7_rows):
     inversions = []
     for lo, hi in zip(values, values[1:]):
         if by_a[hi].proportion > by_a[lo].proportion:
-            overlap = by_a[hi].interval.lower <= by_a[lo].interval.upper
+            overlap = by_a[hi].ci_lower <= by_a[lo].ci_upper
             inversions.append((lo, hi, overlap))
     real_inversions = [(lo, hi) for lo, hi, overlap in inversions if not overlap]
     if len([i for i in inversions if i[2]]) > 1 or real_inversions:
         failures.append(
             f"trend not nonincreasing within CI overlap: inversions {inversions}"
         )
-    if not by_a[8.0].interval.upper < by_a[4.0].interval.lower:
+    if not by_a[8.0].ci_upper < by_a[4.0].ci_lower:
         failures.append(
-            f"a=8: interval {by_a[8.0].interval} does not lie below a=4's {by_a[4.0].interval}"
+            f"a=8: interval [{by_a[8.0].ci_lower}, {by_a[8.0].ci_upper}] does not lie below "
+            f"a=4's [{by_a[4.0].ci_lower}, {by_a[4.0].ci_upper}]"
         )
     report(4, "explosion proportion decreasing in a (N=1e4 per point)", ok=not failures)
     assert not failures, "\n".join(failures)

@@ -1,4 +1,6 @@
 import importlib
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +124,32 @@ def test_classify_rejects_nonfinite():
     object.__setattr__(params, "coeffs", (float("nan"), 1.0, 1.0))
     with pytest.raises(ValueError):
         classify(params)
+
+
+def _error(f, *args) -> str:
+    with pytest.raises(ValueError) as exc:
+        f(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [(1e300, -1.0, -1.0), (math.nan, -1.0, -1.0), (1.0, -1.0, math.inf)])
+def test_classify_p3_raises_what_classify_raises_at_the_first_bad_point(bad):
+    params = Params.p3(1.0, -1.0, -1.0)
+    object.__setattr__(params, "coeffs", bad)  # Params itself rejects the non-finite ones
+    points = [(0.5, -1.0, -1.0), bad, (1e300, 1e300, math.nan)]
+    assert _error(classify_p3, *zip(*points)) == _error(classify, params)
+
+
+@pytest.mark.parametrize("lam", [-1, 0.0, math.nan, math.inf])
+def test_classify_p3_rejects_lam_as_params_does(lam):
+    assert _error(classify_p3, [1.0], [-1.0], [-1.0], lam) == _error(Params.p3, 1.0, -1.0, -1.0, lam)
+
+
+def test_growth_rule_warns_nothing_where_ab_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert growth_rule(Params.p3(1e200, 1e200, -1.0)) is None
+        assert growth_rule(Params(p=2, coeffs=(1e308, 1e308), lam=1.0)) is Verdict.TRANSIENT_LINEAR
 
 
 def test_no_rule_conflicts_on_random_sweep():

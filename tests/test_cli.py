@@ -6,6 +6,7 @@ import math
 import random
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,13 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
 
 
+def test_env_seed_not_an_integer_exits_2(capsys, monkeypatch):
+    # int()'s own message did not name the variable
+    monkeypatch.setenv("HAWKES_SEED", "x")
+    code, out, err = run(["sweep", "--fix", "a=3,c=-15", "--sweep", "b=4", "--replicas", "10", "--jobs", "1"], capsys)
+    assert (code, out, err) == (2, "", "error: HAWKES_SEED must be an integer, got 'x'\n")
+
+
 def test_unwritable_output_exits_3(tmp_path, capsys):
     code, _, err = run(
         ["simulate", "-p", "1", "-a", "0.5", "--length", "5",
@@ -529,6 +537,69 @@ def test_unbounded_range_exits_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err and "more than 10000000 points" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["sweep", "ecdf"])
+@pytest.mark.parametrize("values", ["1,1", "0,-0"])
+def test_sweep_repeated_value_exits_2(command, values, tmp_path, capsys):
+    # ecdf used to run both points and write one curve for them
+    code, out, err = run(
+        [command, "--fix", "a=3,c=-15", "--sweep", f"b={values}", "--replicas", "10", "--jobs", "1",
+         "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: swept value -?[01]\.0 given twice\n", err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_mean_past_float_range_exits_0(capsys):
+    # the Poisson mean a * x overflowed to inf and aborted the sweep with exit 2
+    code, out, err = run(
+        ["sweep", "--fix", "a=1e10,c=-1e9", "--sweep", "b=-1e9", "--replicas", "20", "--jobs", "1"], capsys
+    )
+    assert (code, err) == (0, "")
+    assert re.fullmatch(r"b=-1000000000 exploded=\d+/20 ci=\[.*\]\n", out)
+    assert int(out.split("exploded=")[1].split("/")[0]) > 0
+
+
+def test_simulate_mean_past_float_range_exits_2(capsys):
+    # a trajectory has no escape to certify: a state past float64's range is a usage error, not a traceback
+    code, out, err = run(
+        ["simulate", "--coeffs", "1e9,-1e300,1e300", "--threshold", "9000000000000000000", "--length", "10"], capsys
+    )
+    assert (code, out, err) == (2, "", "error: intensity sum inf is past float64's range\n")
+
+
+def test_classify_overflowing_sum_warns_nothing(capsys):
+    # the sums of the coefficients overflow to inf; numpy printed two RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["classify", "--coeffs", "1e308,1e308"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "verdict=TransientLinear\nrule=transient: all coefficients >= 0 and sum inf > 1\n"
+
+
+@pytest.mark.parametrize("lam", ["-1", "0", "nan"])
+def test_grid_bad_lam_exits_2(lam, tmp_path, capsys):
+    code, out, err = run(
+        ["grid", "--a-values", "0.5", "--b-range=-1:0", "--c-range=-1:0", "--step", "0.5", "--lam", lam,
+         "--out", str(tmp_path / "g")],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: lam must be finite and > 0, got {float(lam)}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_grid_nonfinite_coefficient_names_it(tmp_path, capsys):
+    code, out, err = run(
+        ["grid", "--a-values", "1,nan", "--b-range=-1:0", "--c-range=-1:0", "--step", "0.5",
+         "--out", str(tmp_path / "g")],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", "error: a must be finite, got nan\n")
     assert not list(tmp_path.iterdir())
 
 

@@ -18,6 +18,7 @@ from dhawkes.classify import classify
 from dhawkes.cubic import cubic_report, discriminant
 from dhawkes.model import Params
 from dhawkes.simulate import ExcursionKind, SimConfig
+from dhawkes.stats import clopper_pearson
 
 
 def spec_at(values, replicas=2000, seed=42, horizon=2000, jobs=1, alpha=0.01):
@@ -40,6 +41,13 @@ def test_spec_validation():
         SweepSpec(fixed={"a": 1.0, "b": 2.0}, sweep_name="b", values=(1.0,))
     with pytest.raises(ValueError):
         spec_at([1.0], replicas=0)
+
+
+@pytest.mark.parametrize("values", [(1.0, 1.0), (0.0, -0.0), (0.5, 2.0, 0.5)])
+def test_spec_rejects_repeated_swept_values(values):
+    # a repeated value once ran its point twice and left tau_cdf_experiment a curve short
+    with pytest.raises(ValueError, match="given twice"):
+        spec_at(values)
 
 
 @pytest.mark.parametrize("jobs", [0, -4])
@@ -83,9 +91,9 @@ def test_sweep_deterministic_and_consistent():
     rows2 = sweep_explosion(spec_at([0.5, 4.0]))
     assert rows1 == rows2
     for row in rows1:
-        assert row.proportion == row.exploded / row.replicas
-        assert row.interval.successes == row.exploded
-        assert row.interval.trials == row.replicas
+        assert row.proportion == row.exploded / row.N
+        interval = clopper_pearson(row.exploded, row.N, 0.01)
+        assert (row.ci_lower, row.ci_upper) == (interval.lower, interval.upper)
 
 
 def test_sweep_rows_match_outcome_recount():
@@ -93,7 +101,7 @@ def test_sweep_rows_match_outcome_recount():
     spec = spec_at([4.0, 1.0], replicas=1500)
     rows = sweep_explosion(spec)
     for idx, row in enumerate(rows):
-        params = spec.params_at(row.value)
+        params = spec.params_at(row.swept_value)
         cfg_point = SimConfig(
             horizon_n=spec.sim.horizon_n,
             master_seed=derive_point_seed(spec.sim.master_seed, idx),
@@ -136,12 +144,12 @@ def test_sweep_command_opens_one_pool_and_closes_it(command, monkeypatch):
     assert _CountedPool.opened == 1
     assert multiprocessing.active_children() == []
 
-    # a = 1e300 drives the intensity to inf, and the worker's Poisson draw raises
+    # an initial state of two counts at p = 3 makes the workers' excursions raise
     failing = SweepSpec(
-        fixed={"b": 0.0, "c": 0.0}, sweep_name="a", values=(0.5, 1e300), replicas=300,
-        sim=SimConfig(horizon_n=100, master_seed=1), jobs=2,
+        fixed={"b": 0.0, "c": 0.0}, sweep_name="a", values=(0.5, 1.0), replicas=300,
+        sim=SimConfig(horizon_n=100, master_seed=1, initial_state=(0, 0)), jobs=2,
     )
-    with pytest.raises(ValueError, match="mean must be finite"):
+    with pytest.raises(ValueError, match="state has 2 entries, expected 3"):
         command(failing)
     assert _CountedPool.opened == 2
     assert multiprocessing.active_children() == []
@@ -167,7 +175,7 @@ def test_sweep_command_opens_one_pool_and_closes_it(command, monkeypatch):
 def test_interval_narrows_with_more_replicas():
     wide = sweep_explosion(spec_at([3.0], replicas=300))[0]
     narrow = sweep_explosion(spec_at([3.0], replicas=6000))[0]
-    assert narrow.interval.width < wide.interval.width
+    assert narrow.ci_upper - narrow.ci_lower < wide.ci_upper - wide.ci_lower
 
 
 def test_tau_cdf_includes_sentinel_atom():

@@ -9,10 +9,11 @@ from scipy.stats import chi2, poisson
 
 from dhawkes.model import Params, check_state, intensity
 from dhawkes.simulate import (
+    OVERFLOW_GUARD,
     ExcursionKind,
     SimConfig,
+    _cone,
     detect_alternation,
-    escape_level,
     escaped,
     replica_rng,
     run_excursion,
@@ -284,7 +285,7 @@ def test_run_trajectory_replays_excursion_outcomes(params, cfg):
 def test_escape_cone_at_oscillating_point():
     # b = 8 > 1 and ab + c = -57 < 0: (0, X, 0) with X >= M grows x8 every two steps
     params = Params.p3(8.0, 8.0, -121.0, lam=1.0)
-    level = escape_level(params)
+    level = _cone(params)[1]
     assert level is not None and level <= 1e9
     x = math.ceil(level)
     assert escaped(params, (0, x, 0))
@@ -304,17 +305,17 @@ def test_escape_cone_at_oscillating_point():
 
 def test_escape_cone_at_axes_point_and_guard():
     params = Params.p3(-1.0, -1.0, 1.1, lam=1.0)
-    level = escape_level(params)
+    level = _cone(params)[1]
     assert level is not None
     assert escaped(params, (0, 0, math.ceil(level)))
     assert not escaped(params, (0, math.ceil(level), 0))
     # no cone off the growth rules; the overflow guard applies for every p
     ergodic = Params.p3(2.5, -1.0, -3.0, lam=1.0)
-    assert escape_level(ergodic) is None
+    assert _cone(ergodic) is None
     assert not escaped(ergodic, (0, 10**200, 0))
     assert escaped(ergodic, (10**301, 0, 0))
     p5 = Params(p=5, coeffs=(0.3, 0.2, 0.2, 0.2, 0.09), lam=1.0)
-    assert escape_level(p5) is None
+    assert _cone(p5) is None
     assert escaped(p5, (0, 0, 10**301, 0, 0))
 
 
@@ -327,7 +328,7 @@ def test_escape_cone_at_linear_point(params):
     # nonnegative coefficients, sum S > 1: once the window's minimum is >= M,
     # it grows at least x(1 + S)/2 every p steps
     p, rho = params.p, (1.0 + sum(params.coeffs)) / 2.0
-    level = escape_level(params)
+    level = _cone(params)[1]
     assert level is not None and level <= 1e9
     x = math.ceil(level)
     assert escaped(params, (x,) * p)
@@ -366,6 +367,21 @@ def test_crossing_burst_returns_with_its_peak():
         states.append(step(params, states[-1], rng))
     assert states[-1] == (0, 0, 0) and (0, 0, 0) not in states[1:-1]
     assert max(s[0] for s in states) == o.peak
+
+
+def test_intensity_sum_past_float_range_certifies_escape():
+    # at (1e10, -1e9, -1e9), seed 0, replica 2 reaches a state whose a * x
+    # overflows before any count passes OVERFLOW_GUARD; the Poisson draw at
+    # the inf mean used to abort the run
+    cfg = SimConfig()
+    outcome = run_excursion(Params.p3(1e10, -1e9, -1e9), cfg, 2)
+    assert outcome.kind is ExcursionKind.EXPLODED and outcome.steps == cfg.horizon_n + 1
+    assert outcome.peak <= OVERFLOW_GUARD
+    # inf - inf is nan, which intensity once clipped to a zero mean
+    params, state = Params.p3(1e10, -1e10, 0.0), (10**299, 10**299, 0)
+    with pytest.raises(OverflowError):
+        intensity(params, state)
+    assert run_excursion(params, SimConfig(initial_state=state), 0) == (ExcursionKind.EXPLODED, 10_001, 0)
 
 
 def test_run_trajectory_length_one():
