@@ -37,7 +37,7 @@ from .experiments import (
     sweep_explosion,
     tau_cdf_experiment,
 )
-from .model import Params
+from .model import Params, intensity
 from .simulate import SimConfig, run_trajectory
 
 EXIT_OK = 0
@@ -488,6 +488,8 @@ def cmd_simulate(merged: dict) -> int:
     params = _params_from(merged)
     cfg = _sim_config(merged)
     traj = run_trajectory(params, cfg, merged["length"], merged["replica"])
+    if traj.overflowed:  # a trajectory certifies no escape: its last state is a usage error
+        intensity(params, traj.states[-1])  # raises the OverflowError that names the sum
     if merged["out"]:
         steps = enumerate((s[0] for s in traj.states), start=1)
         write_csv(merged["out"], ("step", "count"), steps)

@@ -26,12 +26,15 @@ import numpy as np
 from .classify import MAX_GRID_POINTS, classify_p3, grid_count, grid_values
 from .model import Params
 from .simulate import (
+    BLOCK,
     ExcursionKind,
     ExcursionOutcome,
     SimConfig,
     detect_alternation,
+    run_blocks,
     run_excursion,
     run_trajectory,
+    uses_blocks,
 )
 from .stats import clopper_pearson, ecdf
 
@@ -129,14 +132,20 @@ def _workers(jobs: int | None, n_replicas: int) -> int:
 _KINDS = tuple(ExcursionKind)
 
 
+def _outcomes(params: Params, cfg: SimConfig, start: int, stop: int) -> list[ExcursionOutcome]:
+    """Outcomes of replicas start..stop-1: on the block kernel where `uses_blocks`, else one `run_excursion` each."""
+    if uses_blocks(params, cfg):
+        return run_blocks(params, cfg, start, stop)
+    return [run_excursion(params, cfg, r) for r in range(start, stop)]
+
+
 def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
     """Outcomes of one replica range as columns: kind codes, steps, peaks.
 
     Peaks stay Python ints: a count above the threshold is followed up to
     1e300 and would overflow any fixed-width integer array.
     """
-    params, cfg, start, stop = payload
-    kinds, steps, peaks = zip(*(run_excursion(params, cfg, r) for r in range(start, stop)))
+    kinds, steps, peaks = zip(*_outcomes(*payload))
     return bytes(map(_KINDS.index, kinds)), steps, peaks
 
 
@@ -150,16 +159,20 @@ def run_excursions(
 ) -> list[ExcursionOutcome]:
     """Outcomes of replicas 0..n-1, bit-identical for any worker count.
 
-    jobs=None uses every core.  Batches run on `pool` when one is given
-    (it stays open); otherwise a pool is opened for this call and closed
-    before it returns.
+    From the all-zero start replica r is `run_excursion(r)`; from any other
+    start the batch runs on the block kernel (`simulate.run_blocks`), so
+    replica r has run_excursion's law but not its stream, and
+    `run_excursions(n)[:k] == run_excursions(k)`.  jobs=None uses every
+    core.  Batches run on `pool` when one is given (it stays open);
+    otherwise a pool is opened for this call and closed before it returns.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     workers = _workers(jobs, n_replicas)
     if workers == 1:
-        return [run_excursion(params, cfg, r) for r in range(n_replicas)]
+        return _outcomes(params, cfg, 0, n_replicas)
     chunk = max(256, -(-n_replicas // (workers * 8)))
+    chunk = -(-chunk // BLOCK) * BLOCK  # whole blocks, so no block is split between batches
     payloads = [
         (params, cfg, start, min(start + chunk, n_replicas))
         for start in range(0, n_replicas, chunk)
@@ -242,8 +255,10 @@ def exploding_gallery(
 
     Each entry replays its replica's stream to extract the first
     prefix_len counts, which is exact because trajectories and excursions
-    consume randomness identically.  If the cap is hit first, the result
-    is flagged partial rather than silently short.
+    consume randomness identically.  A prefix ends early at a count above
+    the threshold, or at the state whose intensity sum is past float64's
+    range, where the excursion's escape was certified.  If the cap is hit
+    first, the result is flagged partial rather than silently short.
     """
     if want < 1:
         raise ValueError(f"want must be >= 1, got {want}")

@@ -1,13 +1,23 @@
 """Trajectory and excursion simulation with deterministic parallel seeding.
 
 Every random quantity is a function of (master_seed, replica_index)
-only: each replica draws from its own counter-based Philox stream keyed
-by that pair, so batches can be split across any number of workers in
-any order and still reproduce bit-identically.  Seed and replica index
-are taken mod 2^64 and used as the two key words exactly.  A Philox
-stream is fixed by its key alone, so each thread keeps one generator and
+only, so batches can be split across any number of workers in any order
+and still reproduce bit-identically.  `run_excursion` and
+`run_trajectory` draw from the replica's own counter-based Philox
+stream, keyed by that pair.  Seed and replica index are taken mod 2^64
+and used as the two key words exactly.  A Philox stream is fixed by its
+key and starting counter alone, so each thread keeps one generator and
 rewinds it to the start of a replica's stream instead of building one
 per replica.
+
+A batch from an initial state other than all zeros runs on a lockstep
+kernel instead (`run_blocks`): BLOCK replicas step together, drawing
+from one stream keyed by (seed, block index).  A replica that leaves its
+block at a count above the threshold is followed on a stream keyed by
+(seed, replica).  These streams start at high counter words 1 and 2,
+the per-replica streams at 0, so no two of them overlap.  Replica r of
+such a batch is therefore not `run_excursion(r)`, but it has the same
+law, and it depends only on (params, cfg, r).
 
 An excursion starts from the configured initial state (all zeros by
 default) and ends at the first return to the all-zero state, at a
@@ -39,6 +49,7 @@ import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
 from numpy.random import Generator, Philox
 
 from .classify import Verdict, growth_rule
@@ -52,6 +63,12 @@ NORMAL_SWITCH = 1e18
 OVERFLOW_GUARD = 1e300
 # bound on the probability of ever leaving a growth cone
 _LEAVE_PROB = 1e-18
+# replicas per block of the lockstep kernel
+BLOCK = 128
+# high counter words at which a block's stream and a replica's
+# continuation stream start; a replica's own stream starts at 0
+_BLOCK_WORD = 1
+_FOLLOW_WORD = 2
 
 
 class ExcursionKind(str, enum.Enum):
@@ -99,10 +116,16 @@ class ExcursionOutcome(NamedTuple):
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    """Post-initial states; `crossed` flags a count above the threshold, where the run stops."""
+    """Post-initial states, up to where the run stops.
+
+    `crossed` flags a count above the threshold; `overflowed` flags a last
+    state whose intensity sum is past float64's range, from which no count
+    can be drawn (`_follow` certifies escape there).
+    """
 
     states: list[State]
     crossed: bool
+    overflowed: bool = False
 
 
 # Per thread, made on its first replica_rng call: `rng`, the thread's one
@@ -127,6 +150,12 @@ def replica_rng(master_seed: int, replica_index: int) -> Generator:
     """
     if replica_index < 0:
         raise ValueError(f"replica_index must be >= 0, got {replica_index}")
+    return _rewound(master_seed, replica_index, 0)
+
+
+def _rewound(seed: int, index: int, word: int) -> Generator:
+    """This thread's generator at the start of the Philox stream keyed by
+    (seed, index) whose counter starts at high word `word`."""
     try:
         start = _THREAD.start
     except AttributeError:  # first call on this thread
@@ -139,7 +168,8 @@ def replica_rng(master_seed: int, replica_index: int) -> Generator:
             "has_uint32": 0,
             "uinteger": 0,
         }
-    start["state"]["key"] = (master_seed & _MASK64, replica_index & _MASK64)
+    start["state"]["key"] = (seed & _MASK64, index & _MASK64)
+    start["state"]["counter"] = (0, 0, 0, word)
     rng = _THREAD.rng
     rng.bit_generator.state = start
     return rng
@@ -288,11 +318,110 @@ def run_excursion(params: Params, cfg: SimConfig, replica_index: int) -> Excursi
     """
     rng = replica_rng(cfg.master_seed, replica_index)
     state0 = _initial(params, cfg)
-    m = cfg.explosion_threshold_m
-    top = m if cfg.initial_state is None else max(m, *state0)  # no count the loop meets is larger
-    if params.lam + params.positive_sum * top > NORMAL_SWITCH:
+    if _normal_below_threshold(params, cfg, state0):
         return _follow(params, cfg, rng, state0, 0, 0)
+    m = cfg.explosion_threshold_m
     return _excursion_loop(params.p)(params, cfg, rng, state0, params.lam, m, cfg.horizon_n)
+
+
+def _normal_below_threshold(params: Params, cfg: SimConfig, state0: State) -> bool:
+    """Whether a mean above NORMAL_SWITCH can occur before any count crosses the threshold."""
+    m = cfg.explosion_threshold_m
+    top = m if cfg.initial_state is None else max(m, *state0)  # no count met below the threshold is larger
+    return params.lam + params.positive_sum * top > NORMAL_SWITCH
+
+
+def uses_blocks(params: Params, cfg: SimConfig) -> bool:
+    """Whether batches of (params, cfg) run on `run_blocks`: a start other
+    than all zeros, and no mean above NORMAL_SWITCH below the threshold."""
+    state0 = _initial(params, cfg)
+    return any(state0) and not _normal_below_threshold(params, cfg, state0)
+
+
+def run_blocks(params: Params, cfg: SimConfig, start: int, stop: int) -> list[ExcursionOutcome]:
+    """Outcomes of replicas start..stop-1, BLOCK replicas in lockstep.
+
+    `start` must be a multiple of BLOCK.  The last block is run in full,
+    so replica r's outcome depends on (params, cfg, r) only, not on how a
+    batch is cut.  Outcomes have the law of `run_excursion`'s, not its
+    streams.  ValueError where a mean above NORMAL_SWITCH can occur below
+    the threshold: such excursions are followed through `step` from the
+    start (see `uses_blocks`).
+    """
+    if start < 0 or start % BLOCK:
+        raise ValueError(f"start must be a multiple of {BLOCK} and >= 0, got {start}")
+    state0 = _initial(params, cfg)
+    if _normal_below_threshold(params, cfg, state0):
+        raise ValueError(f"a mean above NORMAL_SWITCH ({NORMAL_SWITCH:g}) can occur below the threshold")
+    outcomes: list[ExcursionOutcome] = []
+    for block in range(start // BLOCK, -(-stop // BLOCK)):
+        outcomes += _run_block(params, cfg, state0, block)
+    return outcomes[: stop - start]
+
+
+def _run_block(params: Params, cfg: SimConfig, state0: State, block: int) -> list[ExcursionOutcome]:
+    """Outcomes of the BLOCK replicas of `block`, stepped together below the threshold.
+
+    Each step sums every live replica's intensity in `intensity`'s order,
+    draws the live replicas' counts in one Poisson call in replica order,
+    and writes them into two rings: row t % p holds the counts of step t,
+    as floats for the intensity and as int64 for the exact window.  A
+    replica leaves at a return to all zeros, at a count above the
+    threshold (then `_follow` continues it from its exact window, on its
+    continuation stream), or at the horizon.
+    """
+    p, m, horizon = params.p, cfg.explosion_threshold_m, cfg.horizon_n
+    seed = cfg.master_seed & _MASK64
+    pois = Generator(Philox(
+        key=np.array([seed, block], dtype=np.uint64),
+        counter=np.array([0, 0, 0, _BLOCK_WORD], dtype=np.uint64),
+    )).poisson
+    terms = tuple(enumerate(params.coeffs, start=1))  # (lag, coefficient)
+    window = np.empty((p, BLOCK))
+    for i, x in enumerate(state0, start=1):
+        window[(1 - i) % p] = float(x)  # the initial count x_i stands for step 1 - i
+    counts = np.zeros((p, BLOCK), dtype=np.int64)  # rows of initial counts are unused
+    replica = np.arange(block * BLOCK, (block + 1) * BLOCK)  # the live replicas, in order
+    peak = np.zeros(BLOCK, dtype=np.int64)
+    # step of the latest nonzero count; the window is all zeros once it is p steps back
+    recent = next((i for i, x in enumerate(state0, start=1) if x), p + 1)
+    last = np.full(BLOCK, 1 - recent)
+    outcomes: dict[int, ExcursionOutcome] = {}
+    s, term = np.empty(BLOCK), np.empty(BLOCK)
+    for n in range(1, horizon + 1):
+        np.multiply(window[(n - 1) % p], terms[0][1], out=s)
+        s += params.lam  # lam + a_1 x_1, as intensity adds
+        for i, a in terms[1:]:
+            s += np.multiply(window[(n - i) % p], a, out=term)
+        np.maximum(s, 0.0, out=s)
+        d = pois(s)
+        window[n % p] = d
+        counts[n % p] = d
+        np.maximum(peak, d, out=peak)
+        if d.min():  # no window is all zeros
+            last.fill(n)
+            if d.max() <= m:
+                continue
+        else:
+            np.copyto(last, n, where=d > 0)
+            if d.max() <= m and last.min() > n - p:
+                continue
+        for j in np.flatnonzero(d > m).tolist():
+            r = int(replica[j])
+            state = tuple(
+                int(counts[(n + 1 - i) % p, j]) if i <= n else state0[i - n - 1] for i in range(1, p + 1)
+            )
+            outcomes[r] = _follow(params, cfg, _rewound(seed, r, _FOLLOW_WORD), state, n, int(d[j]))
+        for j in np.flatnonzero(last <= n - p).tolist():
+            outcomes[int(replica[j])] = ExcursionOutcome(ExcursionKind.RETURNED, n, int(peak[j]))
+        live = (d <= m) & (last > n - p)
+        window, counts, replica, peak, last = window[:, live], counts[:, live], replica[live], peak[live], last[live]
+        s, term = s[live], term[live]
+        if not len(replica):
+            break
+    for r, top in zip(replica.tolist(), peak.tolist()):
+        outcomes[r] = ExcursionOutcome(ExcursionKind.CENSORED, horizon, top)
+    return [outcomes[r] for r in range(block * BLOCK, (block + 1) * BLOCK)]
 
 
 _LOOP = """\
@@ -343,7 +472,8 @@ def _excursion_loop(p: int):
 def run_trajectory(
     params: Params, cfg: SimConfig, length: int, replica_index: int
 ) -> TrajectoryResult:
-    """First `length` post-initial states; stops early if a count crosses the threshold.
+    """First `length` post-initial states; stops early if a count crosses the
+    threshold or at a state whose intensity sum is past float64's range.
 
     Iterates `step` on replica r's stream; run_excursion's loop sums the
     intensity in the same order and draws only where it is positive, and
@@ -356,7 +486,10 @@ def run_trajectory(
     state = _initial(params, cfg)
     states: list[State] = []
     for _ in range(length):
-        state = step(params, state, rng)
+        try:
+            state = step(params, state, rng)
+        except OverflowError:  # raised by intensity, before any draw
+            return TrajectoryResult(states, False, True)
         states.append(state)
         if state[0] > cfg.explosion_threshold_m:
             return TrajectoryResult(states, True)

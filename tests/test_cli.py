@@ -15,6 +15,7 @@ import pytest
 from dhawkes import cli, cubic
 from dhawkes.cli import build_parser, main, write_csv, write_json
 from dhawkes.experiments import SweepSpec, sweep_explosion
+from dhawkes.model import Params, intensity
 from dhawkes.simulate import SimConfig
 
 
@@ -409,6 +410,23 @@ def test_gallery_complete(tmp_path, capsys):
     lines = (tmp_path / "g.csv").read_text().splitlines()
     assert lines[0].startswith("replica,alternation_onset,x0")
     assert len(lines) == 3
+
+
+def test_gallery_prefix_ends_at_state_past_float_range(tmp_path, capsys):
+    # the replay once raised at the state where the excursion's escape was certified, and exited 2
+    argv = ["gallery", "-a", "1e9", "-b=-1e300", "-c", "1e300", "--threshold", "9000000000000000000",
+            "--want", "1", "--prefix", "10", "--cap", "50", "--out", str(tmp_path / "g")]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("gallery: 1/1 exploding excursions (complete")
+    [entry] = json.loads((tmp_path / "g.json").read_text())["entries"]
+    params = Params.p3(1e9, -1e300, 1e300)
+    windows = [tuple(reversed(([0, 0] + entry["prefix"][: t + 1])[-3:])) for t in range(len(entry["prefix"]))]
+    assert len(windows) < 10
+    for window in windows[:-1]:
+        intensity(params, window)
+    with pytest.raises(OverflowError, match="past float64's range"):
+        intensity(params, windows[-1])
 
 
 def test_gallery_missing_coefficient_exits_2(capsys):
