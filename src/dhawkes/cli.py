@@ -154,8 +154,8 @@ _SHAPES: dict[Callable[[str], object], tuple[Callable[[object], bool], str]] = {
     str: (lambda v: type(v) is str, "a string"),
     _parse_floats: (lambda v: _is_numbers(v) and len(v) > 0, "a non-empty array of numbers"),
     _parse_fix: (lambda v: type(v) is dict and all(map(_is_number, v.values())), "an object of numbers"),
-    _parse_sweep: (lambda v: type(v) is list and len(v) == 2 and type(v[0]) is str and _is_numbers(v[1]),
-                   "[name, [numbers]]"),
+    _parse_sweep: (lambda v: type(v) is list and len(v) == 2 and type(v[0]) is str and _is_numbers(v[1])
+                   and len(v[1]) > 0, "[name, [numbers]] with at least one number"),
     _parse_range: (lambda v: _is_numbers(v) and len(v) == 2, "[number, number]"),
 }
 
@@ -221,7 +221,9 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _params_from(merged: dict) -> Params:
     lam, p = merged["lam"], merged.get("p")
-    provided = [v for v in (merged.get("a"), merged.get("b"), merged.get("c")) if v is not None]
+    provided = [merged.get(k) for k in "abc"]
+    while provided and provided[-1] is None:
+        provided.pop()
     if p is not None and p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if merged.get("coeffs"):
@@ -229,6 +231,11 @@ def _params_from(merged: dict) -> Params:
             raise ValueError("give --coeffs or -a/-b/-c, not both")
         coeffs = [float(v) for v in merged["coeffs"]]
         return Params(p=p or len(coeffs), coeffs=tuple(coeffs), lam=lam)
+    missing = [f"-{k}" for k, v in zip("abc", provided) if v is None]
+    if missing:
+        raise ValueError(
+            f"{', '.join(missing)} missing: -a, -b and -c are the lag-1, lag-2 and lag-3 coefficients"
+        )
     p = p or len(provided)
     if len(provided) != p or p == 0:
         raise ValueError(f"need {p or 'some'} coefficients; got {provided}")

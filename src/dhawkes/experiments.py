@@ -34,7 +34,6 @@ from .simulate import (
     run_blocks,
     run_excursion,
     run_trajectory,
-    uses_blocks,
 )
 from .stats import clopper_pearson, ecdf
 
@@ -82,6 +81,8 @@ class SweepSpec:
                 "must cover a, b, c exactly"
             )
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not self.values:
+            raise ValueError("swept values must not be empty")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("swept values must be finite")
         repeated = [v for v, n in Counter(self.values).items() if n > 1]  # 0.0 and -0.0 are one value
@@ -133,8 +134,8 @@ _KINDS = tuple(ExcursionKind)
 
 
 def _outcomes(params: Params, cfg: SimConfig, start: int, stop: int) -> list[ExcursionOutcome]:
-    """Outcomes of replicas start..stop-1: on the block kernel where `uses_blocks`, else one `run_excursion` each."""
-    if uses_blocks(params, cfg):
+    """Outcomes of replicas start..stop-1: one `run_excursion` each from the all-zero start, else `run_blocks`."""
+    if any(cfg.initial_state or ()):
         return run_blocks(params, cfg, start, stop)
     return [run_excursion(params, cfg, r) for r in range(start, stop)]
 
@@ -160,8 +161,9 @@ def run_excursions(
     """Outcomes of replicas 0..n-1, bit-identical for any worker count.
 
     From the all-zero start replica r is `run_excursion(r)`; from any other
-    start the batch runs on the block kernel (`simulate.run_blocks`), so
-    replica r has run_excursion's law but not its stream, and
+    start the batch runs in `simulate.run_blocks`, so replica r has
+    run_excursion's law but not its stream (it is `run_excursion(r)` where
+    a mean above NORMAL_SWITCH can occur below the threshold), and
     `run_excursions(n)[:k] == run_excursions(k)`.  jobs=None uses every
     core.  Batches run on `pool` when one is given (it stays open);
     otherwise a pool is opened for this call and closed before it returns.

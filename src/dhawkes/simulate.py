@@ -10,14 +10,14 @@ key and starting counter alone, so each thread keeps one generator and
 rewinds it to the start of a replica's stream instead of building one
 per replica.
 
-A batch from an initial state other than all zeros runs on a lockstep
-kernel instead (`run_blocks`): BLOCK replicas step together, drawing
-from one stream keyed by (seed, block index).  A replica that leaves its
-block at a count above the threshold is followed on a stream keyed by
-(seed, replica).  These streams start at high counter words 1 and 2,
-the per-replica streams at 0, so no two of them overlap.  Replica r of
-such a batch is therefore not `run_excursion(r)`, but it has the same
-law, and it depends only on (params, cfg, r).
+A batch from the all-zero start is one `run_excursion` per replica; from
+any other start it runs in `run_blocks`, where BLOCK replicas step
+together on one stream keyed by (seed, block index) and a replica that
+crosses the threshold is followed on a stream keyed by (seed, replica).
+These streams start at high counter words 1 and 2, the per-replica ones
+at 0, so none overlap.  Replica r then has `run_excursion(r)`'s law, not
+its stream, and depends only on (params, cfg, r); but where a mean above
+NORMAL_SWITCH can occur below the threshold it is `run_excursion(r)`.
 
 An excursion starts from the configured initial state (all zeros by
 default) and ends at the first return to the all-zero state, at a
@@ -326,16 +326,8 @@ def run_excursion(params: Params, cfg: SimConfig, replica_index: int) -> Excursi
 
 def _normal_below_threshold(params: Params, cfg: SimConfig, state0: State) -> bool:
     """Whether a mean above NORMAL_SWITCH can occur before any count crosses the threshold."""
-    m = cfg.explosion_threshold_m
-    top = m if cfg.initial_state is None else max(m, *state0)  # no count met below the threshold is larger
+    top = max(cfg.explosion_threshold_m, *state0)  # no count met below the threshold is larger
     return params.lam + params.positive_sum * top > NORMAL_SWITCH
-
-
-def uses_blocks(params: Params, cfg: SimConfig) -> bool:
-    """Whether batches of (params, cfg) run on `run_blocks`: a start other
-    than all zeros, and no mean above NORMAL_SWITCH below the threshold."""
-    state0 = _initial(params, cfg)
-    return any(state0) and not _normal_below_threshold(params, cfg, state0)
 
 
 def run_blocks(params: Params, cfg: SimConfig, start: int, stop: int) -> list[ExcursionOutcome]:
@@ -344,15 +336,15 @@ def run_blocks(params: Params, cfg: SimConfig, start: int, stop: int) -> list[Ex
     `start` must be a multiple of BLOCK.  The last block is run in full,
     so replica r's outcome depends on (params, cfg, r) only, not on how a
     batch is cut.  Outcomes have the law of `run_excursion`'s, not its
-    streams.  ValueError where a mean above NORMAL_SWITCH can occur below
-    the threshold: such excursions are followed through `step` from the
-    start (see `uses_blocks`).
+    streams, except where a mean above NORMAL_SWITCH can occur below the
+    threshold: there replica r is followed through `step` from the start
+    on its own stream, and is `run_excursion(r)`.
     """
     if start < 0 or start % BLOCK:
         raise ValueError(f"start must be a multiple of {BLOCK} and >= 0, got {start}")
     state0 = _initial(params, cfg)
     if _normal_below_threshold(params, cfg, state0):
-        raise ValueError(f"a mean above NORMAL_SWITCH ({NORMAL_SWITCH:g}) can occur below the threshold")
+        return [_follow(params, cfg, replica_rng(cfg.master_seed, r), state0, 0, 0) for r in range(start, stop)]
     outcomes: list[ExcursionOutcome] = []
     for block in range(start // BLOCK, -(-stop // BLOCK)):
         outcomes += _run_block(params, cfg, state0, block)

@@ -305,6 +305,66 @@ def test_ignored_parameter_exits_2(argv, config, tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, config, missing", [
+    (["classify", "-a", "0.5", "-c", "-0.5"], None, "-b"),
+    (["classify", "-b", "3"], None, "-a"),
+    (["simulate", "-c", "0.5", "--length", "3"], None, "-a, -b"),
+    (["classify"], {"a": 1, "c": 2}, "-b"),
+    (["simulate", "-c", "2", "--length", "3"], {"b": 1}, "-a"),
+], ids=["a-c-flags", "b-flag", "c-flag", "a-c-config", "b-config-c-flag"])
+def test_coefficient_after_a_missing_lag_exits_2(argv, config, missing, tmp_path, capsys):
+    # the given letters used to be packed together: -a 0.5 -c -0.5 classified the p = 2 point (0.5, -0.5)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {missing} missing: -a, -b and -c are the lag-1, lag-2 and lag-3")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["grid", "--a-values", "0.5", "--b-range=nan:1", "--c-range=-1:0", "--step", "0.5"], None,
+     "grid range must be finite"),
+    (["grid", "--a-values", "0.5", "--b-range=1", "--c-range=-1:0", "--step", "0.5"], None, "bad range"),
+    (["classify", "-a", "1"], [1], "config root must be a JSON object"),
+    (["classify", "-p", "3", "-a", "1"], None, "need 3 coefficients"),
+    (["sweep", "--sweep", "b=0"], None, "sweep requires --fix and --sweep"),
+    (["grid", "--b-range=-1:0", "--c-range=-1:0", "--step", "0.5"], None, "grid requires --a-values"),
+    (["gallery", "-a", "3", "-b", "4", "-c", "-15", "--want", "0"], None, "want must be >= 1"),
+    (["gallery", "-a", "3", "-b", "4", "-c", "-15", "--prefix", "0"], None, "prefix_len must be >= 1"),
+    (["simulate", "-a", "3", "--length", "0"], None, "length must be >= 1"),
+], ids=["grid-nan-range", "grid-one-bound", "config-root-list", "p3-one-coefficient", "sweep-no-fix",
+        "grid-no-a-values", "gallery-want-0", "gallery-prefix-0", "simulate-length-0"])
+def test_usage_error_exits_2(argv, config, message, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    if argv[0] != "classify":
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["sweep", "ecdf"])
+def test_empty_swept_list_exits_2(command, tmp_path, capsys):
+    # sweep used to write a header-only CSV and ecdf "0 curves", both exiting 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweep": ["b", []]}))
+    code, out, err = run([command, "--fix", "a=3,c=-15", "--config", str(cfg), "--out", str(tmp_path / "e0")],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config key 'sweep' must be [name, [numbers]] with at least one number")
+    assert not list(tmp_path.glob("e0*"))
+
+
 @pytest.mark.parametrize("argv, config", [
     (["sweep", "--fix", "a=3,c=-15", "--sweep", "b=0"], {"replicas": "10"}),
     (["sweep", "--fix", "a=3,c=-15", "--sweep", "b=0"], {"jobs": 1.5, "replicas": 300, "horizon": 50}),

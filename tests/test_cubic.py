@@ -350,7 +350,8 @@ _ORACLE_SETS = {
     "random": [tuple(float(x) for x in p) for p in np.random.default_rng(21).uniform(-5, 5, size=(10_000, 3))],
     "lattice": [(a, b, c) for a in (0.5, 1.0, 2.0, 3.0) for b in _LATTICE for c in _LATTICE]
     + [(a, b, -0.0) for a in (0.5, 1.0, 2.0, 3.0) for b in _LATTICE],
-    "band": [(0.0, 3.0, -2.0), (0.0, 0.0, 0.0), (3.0, 0.5, -5.020288049381336)],
+    # (0, -1e-8, 0): on the band with a^2 + 3b < 0, so no multiple root is rebuilt and P is solved
+    "band": [(0.0, 3.0, -2.0), (0.0, 0.0, 0.0), (3.0, 0.5, -5.020288049381336), (0.0, -1e-8, 0.0)],
 }
 
 

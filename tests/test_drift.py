@@ -572,6 +572,21 @@ def test_verify_small_set_precondition():
             verify_small_set(Params.p3(*abc), 10)
 
 
+_P4 = Params(p=4, coeffs=(0.5, -1.0, -1.0, -1.0), lam=1.0)
+_REF = Params.p3(2.5, -1.0, -3.0, lam=1.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: scan_violations(_P4, 0.8, 0.125, 10), "requires p=3"),
+    (lambda: scan_violations(_REF, 0.8, 0.125, -1), "box_radius must be >= 0"),
+    (lambda: scan_violations(_REF, 0.0, 0.125, 10), "alpha must be > 0"),
+    (lambda: verify_small_set(_P4, 10), "requires p=3"),
+], ids=["scan-p4", "scan-radius-minus-1", "scan-alpha-0", "small-set-p4"])
+def test_scan_and_small_set_reject_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_certify_drift_end_to_end():
     params = Params.p3(2.5, -1.0, -3.0, lam=1.0)
     cert = certify_drift(params, box_radius=60)

@@ -50,6 +50,22 @@ def test_spec_rejects_repeated_swept_values(values):
         spec_at(values)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"values": ()}, "must not be empty"),
+    ({"values": (float("nan"),)}, "must be finite"),
+    ({"values": (1.0,), "alpha": 1.0}, "alpha must be in"),
+], ids=["empty", "nan", "alpha-1"])
+def test_spec_rejects_bad_values_and_alpha(kwargs, match):
+    # an empty sweep used to run no point: sweep_explosion returned [] and tau_cdf_experiment {}
+    with pytest.raises(ValueError, match=match):
+        spec_at(**kwargs)
+
+
+def test_run_excursions_rejects_no_replicas():
+    with pytest.raises(ValueError, match="n_replicas must be >= 1"):
+        run_excursions(Params.p3(3.0, 0.0, -15.0, lam=1.0), SimConfig(), 0)
+
+
 @pytest.mark.parametrize("jobs", [0, -4])
 def test_run_excursions_rejects_jobs_below_one(jobs):
     # the CLI's --jobs reaches SweepSpec first; direct API callers reach this check
