@@ -1,9 +1,11 @@
 """Command-line front door: classify, simulate, drift-check and experiments.
 
 Configuration precedence: explicit flags > HAWKES_SEED environment
-variable (seed only) > --config file > built-in defaults.  Every command
-can echo its fully resolved configuration to a JSON file; re-ingesting
-that file reproduces the identical run.
+variable (seed only) > --config file > built-in defaults.  A config value
+is read as its flag reads the same number, so a config file and the equal
+flags write the same files and the same echo.  Every command can echo its
+fully resolved configuration to a JSON file; re-ingesting that file
+reproduces the identical run.
 
 Exit codes: 0 success, 2 usage or parse error, 3 output I/O error,
 4 flagged numerical anomaly (no clean boundary shell up to --max-radius,
@@ -120,50 +122,45 @@ _OPTIONS: dict[str, tuple[Callable[[str], object], object, str]] = {
     "step": (float, None, "grid spacing of b and c"),
 }
 
-_SIM = "horizon threshold seed"
-_SWEEP = f"fix sweep replicas alpha lam jobs out {_SIM}"
-# Each command's help line and its config keys, in --help order.
-_COMMANDS = {
-    "classify": ("stability verdict for a parameter point", "p coeffs a b c lam"),
-    "simulate": ("write one trajectory as CSV", f"p coeffs a b c lam {_SIM} length replica out"),
-    "sweep": ("explosion-proportion sweep with exact intervals", _SWEEP),
-    "ecdf": ("empirical CDFs of the truncated return time", _SWEEP),
-    "gallery": ("collect exploding excursion prefixes", f"a b c lam want prefix cap out {_SIM}"),
-    "drift": ("verify the drift construction numerically", "a b c lam radius max_radius out"),
-    "grid": ("discriminant-sign / classification grid data", "a_values b_range c_range step lam out"),
-}
 
-DEFAULTS: dict[str, dict] = {
-    command: {key: _OPTIONS[key][1] for key in keys.split()} for command, (_, keys) in _COMMANDS.items()
-}
+# Readers of a non-null config value: each returns what its flag gives for
+# the same numbers, or raises ValueError for any other JSON shape.  JSON
+# loads a bool as bool, which is never taken for a number.  A number is
+# read from its text, as a flag reads it: an integer past float's range is inf.
+def _read(v: object, kind: type) -> object:
+    if type(v) is not kind and not (kind is float and type(v) is int):
+        raise ValueError
+    return float(str(v)) if kind is float else v
 
 
-# The JSON shape of a non-null config value, by its flag's parse type.  JSON
-# loads a bool as bool, which is never taken for a number.
-def _is_number(v: object) -> bool:
-    return type(v) in (int, float)
+def _read_floats(v: object, size: int = 0) -> list[float]:
+    if type(v) is not list or not v or len(v) != (size or len(v)):
+        raise ValueError
+    return [_read(x, float) for x in v]
 
 
-def _is_numbers(v: object) -> bool:
-    return type(v) is list and all(map(_is_number, v))
+def _read_sweep(v: object) -> tuple[str, list[float]]:
+    if type(v) is not list or len(v) != 2:
+        raise ValueError
+    return _read(v[0], str), _read_floats(v[1])
 
 
-_SHAPES: dict[Callable[[str], object], tuple[Callable[[object], bool], str]] = {
-    int: (lambda v: type(v) is int, "an integer"),
-    float: (_is_number, "a number"),
-    str: (lambda v: type(v) is str, "a string"),
-    _parse_floats: (lambda v: _is_numbers(v) and len(v) > 0, "a non-empty array of numbers"),
-    _parse_fix: (lambda v: type(v) is dict and all(map(_is_number, v.values())), "an object of numbers"),
-    _parse_sweep: (lambda v: type(v) is list and len(v) == 2 and type(v[0]) is str and _is_numbers(v[1])
-                   and len(v[1]) > 0, "[name, [numbers]] with at least one number"),
-    _parse_range: (lambda v: _is_numbers(v) and len(v) == 2, "[number, number]"),
+# Each flag parse type's config reader and the JSON shape it takes.
+_FROM_CONFIG: dict[Callable[[str], object], tuple[Callable[[object], object], str]] = {
+    int: (lambda v: _read(v, int), "an integer"),
+    float: (lambda v: _read(v, float), "a number"),
+    str: (lambda v: _read(v, str), "a string"),
+    _parse_floats: (_read_floats, "a non-empty array of numbers"),
+    _parse_fix: (lambda v: {k: _read(x, float) for k, x in _read(v, dict).items()}, "an object of numbers"),
+    _parse_sweep: (_read_sweep, "[name, [numbers]] with at least one number"),
+    _parse_range: (lambda v: tuple(_read_floats(v, 2)), "[number, number]"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="dhawkes", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-    for command, (summary, _) in _COMMANDS.items():
+    for command, (summary, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for key in DEFAULTS[command]:
             parse, _, help_text = _OPTIONS[key]
@@ -200,12 +197,11 @@ def _resolve(args: argparse.Namespace) -> dict:
         for key, val in loaded.items():
             if val is None and merged[key] is not None:
                 raise ValueError(f"config key {key!r} must not be null")
-            shape, noun = _SHAPES[_OPTIONS[key][0]]
-            if val is not None and not shape(val):
-                raise ValueError(f"config key {key!r} must be {noun}, got {val!r}")
-            if key == "sweep" and val is not None:
-                val = (val[0], [float(v) for v in val[1]])
-            merged[key] = val
+            read, noun = _FROM_CONFIG[_OPTIONS[key][0]]
+            try:
+                merged[key] = val if val is None else read(val)
+            except ValueError:
+                raise ValueError(f"config key {key!r} must be {noun}, got {val!r}") from None
     seed = os.environ.get("HAWKES_SEED")
     if "seed" in merged and seed:
         try:
@@ -229,8 +225,7 @@ def _params_from(merged: dict) -> Params:
     if merged.get("coeffs"):
         if provided:
             raise ValueError("give --coeffs or -a/-b/-c, not both")
-        coeffs = [float(v) for v in merged["coeffs"]]
-        return Params(p=p or len(coeffs), coeffs=tuple(coeffs), lam=lam)
+        return Params(p=p or len(merged["coeffs"]), coeffs=tuple(merged["coeffs"]), lam=lam)
     missing = [f"-{k}" for k, v in zip("abc", provided) if v is None]
     if missing:
         raise ValueError(
@@ -513,11 +508,9 @@ def cmd_simulate(merged: dict) -> int:
 def _sweep_spec(merged: dict) -> SweepSpec:
     if not merged.get("fix") or not merged.get("sweep"):
         raise ValueError("sweep requires --fix and --sweep")
-    name, values = merged["sweep"]
     return SweepSpec(
-        fixed={k: float(v) for k, v in merged["fix"].items()},
-        sweep_name=name,
-        values=tuple(values),
+        merged["fix"],
+        *merged["sweep"],
         lam=merged["lam"],
         replicas=merged["replicas"],
         sim=_sim_config(merged),
@@ -614,13 +607,7 @@ def cmd_grid(merged: dict) -> int:
     for key in ("a_values", "b_range", "c_range", "step"):
         if merged.get(key) is None:
             raise ValueError(f"grid requires --{key.replace('_', '-')}")
-    cells = disc_grid(
-        [float(v) for v in merged["a_values"]],
-        tuple(merged["b_range"]),
-        tuple(merged["c_range"]),
-        merged["step"],
-        merged["lam"],
-    )
+    cells = disc_grid(merged["a_values"], merged["b_range"], merged["c_range"], merged["step"], merged["lam"])
     base = (merged["out"] or "grid").removesuffix(".csv")
     write_csv(base + ".csv", GridCell._fields, cells)
     write_json({"cells": _mirror(cells)}, base + ".json")
@@ -628,14 +615,21 @@ def cmd_grid(merged: dict) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "classify": cmd_classify,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "ecdf": cmd_ecdf,
-    "gallery": cmd_gallery,
-    "drift": cmd_drift,
-    "grid": cmd_grid,
+_SIM = "horizon threshold seed"
+_SWEEP = f"fix sweep replicas alpha lam jobs out {_SIM}"
+# Each command's help line, its config keys and its handler, in --help order.
+_COMMANDS: dict[str, tuple[str, str, Callable[[dict], int]]] = {
+    "classify": ("stability verdict for a parameter point", "p coeffs a b c lam", cmd_classify),
+    "simulate": ("write one trajectory as CSV", f"p coeffs a b c lam {_SIM} length replica out", cmd_simulate),
+    "sweep": ("explosion-proportion sweep with exact intervals", _SWEEP, cmd_sweep),
+    "ecdf": ("empirical CDFs of the truncated return time", _SWEEP, cmd_ecdf),
+    "gallery": ("collect exploding excursion prefixes", f"a b c lam want prefix cap out {_SIM}", cmd_gallery),
+    "drift": ("verify the drift construction numerically", "a b c lam radius max_radius out", cmd_drift),
+    "grid": ("discriminant-sign / classification grid data", "a_values b_range c_range step lam out", cmd_grid),
+}
+
+DEFAULTS: dict[str, dict] = {
+    command: {key: _OPTIONS[key][1] for key in keys.split()} for command, (_, keys, _) in _COMMANDS.items()
 }
 
 
@@ -645,8 +639,8 @@ def main(argv: list[str] | None = None) -> int:
         merged = _resolve(args)
         if args.echo_config:
             write_json({"command": args.command, **merged}, args.echo_config)
-        return _HANDLERS[args.command](merged)
-    except (ValueError, OverflowError, json.JSONDecodeError) as e:
+        return _COMMANDS[args.command][2](merged)
+    except (ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:

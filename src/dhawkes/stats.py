@@ -123,10 +123,6 @@ class ConfidenceInterval:
         if not (0 <= self.successes <= self.trials):
             raise ValueError(f"successes {self.successes} out of range for N={self.trials}")
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
     def contains(self, p: float) -> bool:
         return self.lower <= p <= self.upper
 

@@ -396,6 +396,43 @@ def test_config_int_for_float_flag_accepted(tmp_path, capsys):
     assert "verdict=ErgodicDiscNegative" in out
 
 
+_SWEEP_INTS = ({"lam": 1, "fix": {"a": 3, "c": -15}}, ["--lam", "1", "--fix", "a=3,c=-15"],
+               ["--sweep", "b=0,2", "--replicas", "300", "--seed", "5", "--jobs", "1"])
+_INTEGER_CONFIGS = {
+    "sweep": _SWEEP_INTS,
+    "ecdf": _SWEEP_INTS,
+    "grid": ({"a_values": [1], "b_range": [-1, 0], "c_range": [-1, 0], "step": 1},
+             ["--a-values", "1", "--b-range=-1:0", "--c-range=-1:0", "--step", "1"], []),
+}
+
+
+@pytest.mark.parametrize("command", list(_INTEGER_CONFIGS))
+def test_config_integers_write_what_their_flags_write(command, tmp_path, capsys):
+    # a config kept the integer it gave a float key: sweep.json held "lam": 1 and the echo "step": 1
+    config, flags, common = _INTEGER_CONFIGS[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    written = []
+    for name, given in (("config", ["--config", str(cfg)]), ("flags", flags)):
+        out, echo = tmp_path / name, tmp_path / f"{name}.echo.json"
+        code, _, err = run([command, *given, *common, "--out", str(out), "--echo-config", str(echo)], capsys)
+        assert code == 0, err
+        written.append((out.with_suffix(".json").read_bytes(), echo.read_text().replace(str(out), "OUT")))
+    assert written[0] == written[1]
+
+
+def test_config_integer_past_float_range_reads_as_its_flag(tmp_path, capsys):
+    # inf, as --lam reads the same digits; the config run used to exit on "int too large to convert to float"
+    huge = "1" + "0" * 400
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"lam": {huge}}}')
+    abc = ["-a", "2.5", "-b", "-1", "-c", "-3"]
+    from_config = run(["classify", *abc, "--config", str(cfg)], capsys)
+    assert from_config == run(["classify", *abc, "--lam", huge], capsys)
+    assert from_config == (2, "", "error: lam must be finite and > 0, got inf\n")
+    assert run(["classify", *abc, "--config", str(cfg), "--lam", "1"], capsys)[0] == 0
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"command": "classify", "bogus": 1}))

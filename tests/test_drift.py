@@ -175,6 +175,16 @@ def test_linear_drift_scan_rejects_oversized_epsilon():
         linear_drift_scan(params, 0.5, 10)  # eta/p = 0.1
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: DriftReport(0.0, (), 0, 0.0, 1, True), "epsilon must be in"),
+    (lambda: DriftReport(1.5, (), 0, 0.0, 1, True), "epsilon must be in"),
+    (lambda: linear_drift_scan(Params(p=2, coeffs=(0.5, 0.3), lam=1.0), 0.05, -1), "box_radius must be >= 0"),
+], ids=["report-epsilon-0", "report-epsilon-above-1", "scan-radius-minus-1"])
+def test_drift_rejects(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def _drift_terms(params3, alpha, state):
     """(clipped, Delta V_alpha, V_alpha) at one state, by the scan's own _jk_terms/_i_terms."""
     i, j, k = state

@@ -47,6 +47,15 @@ def test_params_validation():
         Params(p=1, coeffs=(math.nan,), lam=1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Params(p=2, coeffs=(0.5, 0.2), lam=1.0).abc, "abc requires p=3"),
+    (lambda: push_state((1, 2), -1), "next_count must be >= 0"),
+], ids=["abc-at-p2", "push-negative-count"])
+def test_model_rejects(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_pmf_zero_intensity_is_dirac():
     params = Params(p=2, coeffs=(-1.0, -1.0), lam=1.0)
     state = (5, 5)

@@ -7,6 +7,7 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy.stats import chi2, poisson
 
+from dhawkes.classify import Verdict, classify
 from dhawkes.model import Params, check_state, intensity
 from dhawkes.simulate import (
     OVERFLOW_GUARD,
@@ -317,6 +318,19 @@ def test_escape_cone_at_axes_point_and_guard():
     p5 = Params(p=5, coeffs=(0.3, 0.2, 0.2, 0.2, 0.09), lam=1.0)
     assert _cone(p5) is None
     assert escaped(p5, (0, 0, 10**301, 0, 0))
+
+
+def test_cone_past_overflow_guard_leaves_the_count_guard():
+    # b > 1 and ab + c = -2e-12 < 0, so the oscillating rule holds; at lam = 1e290
+    # its x0 is about 2e302, past OVERFLOW_GUARD, so the point has no cone
+    params = Params.p3(1.0, 2.0, -2.0 - 2e-12, lam=1e290)
+    assert classify(params).verdict is Verdict.TRANSIENT_OSCILLATING
+    assert _cone(params) is None
+    assert not escaped(params, (0, 10**299, 0))
+    assert escaped(params, (0, 2 * 10**300, 0))
+    # at lam = 1 the same coefficients have a cone, at about 3.1e26
+    rule, level = _cone(Params.p3(1.0, 2.0, -2.0 - 2e-12, lam=1.0))
+    assert rule is Verdict.TRANSIENT_OSCILLATING and 3e26 < level < 3.2e26
 
 
 @pytest.mark.parametrize(

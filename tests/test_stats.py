@@ -4,6 +4,7 @@ from scipy.special import betainc as scipy_betainc
 from scipy.special import betaincinv as scipy_betaincinv
 
 from dhawkes.stats import (
+    ConfidenceInterval,
     beta_quantile,
     clopper_pearson,
     ecdf,
@@ -111,6 +112,26 @@ def test_clopper_pearson_validation():
         clopper_pearson(1, 0, 0.05)
     with pytest.raises(ValueError):
         clopper_pearson(1, 10, 1.5)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -1.0)])
+def test_incomplete_beta_rejects_nonpositive_shape(a, b):
+    with pytest.raises(ValueError, match="shape parameters must be > 0"):
+        regularized_incomplete_beta(0.5, a, b)
+
+
+@pytest.mark.parametrize("x, expected", [(-0.5, 0.0), (0.0, 0.0), (1.0, 1.0), (1.5, 1.0)])
+def test_incomplete_beta_outside_the_open_unit_interval(x, expected):
+    assert regularized_incomplete_beta(x, 2.0, 3.0) == expected
+
+
+@pytest.mark.parametrize("lower, upper, successes, message", [
+    (0.6, 0.4, 1, "invalid interval"),
+    (0.1, 0.2, 3, "successes 3 out of range"),
+], ids=["reversed-bounds", "successes-above-trials"])
+def test_confidence_interval_invariants(lower, upper, successes, message):
+    with pytest.raises(ValueError, match=message):
+        ConfidenceInterval(lower, upper, 0.99, successes, 2)
 
 
 def test_ecdf_basic():
