@@ -123,14 +123,26 @@ _OPTIONS: dict[str, tuple[Callable[[str], object], object, str]] = {
 }
 
 
+class _JsonInt(int):
+    """A config file's integer with its text, which json's int loses for -0."""
+
+    def __new__(cls, text: str) -> "_JsonInt":
+        self = super().__new__(cls, text)
+        self.text = text
+        return self
+
+
 # Readers of a non-null config value: each returns what its flag gives for
 # the same numbers, or raises ValueError for any other JSON shape.  JSON
-# loads a bool as bool, which is never taken for a number.  A number is
-# read from its text, as a flag reads it: an integer past float's range is inf.
+# loads a bool as bool, which is never taken for a number.  An integer is
+# read from its text, as a flag reads it: past float's range it is inf, and
+# -0 is -0.0 where a float is asked for.
 def _read(v: object, kind: type) -> object:
-    if type(v) is not kind and not (kind is float and type(v) is int):
+    if type(v) is _JsonInt and kind in (int, float):
+        return kind(v.text)
+    if type(v) is not kind:
         raise ValueError
-    return float(str(v)) if kind is float else v
+    return v
 
 
 def _read_floats(v: object, size: int = 0) -> list[float]:
@@ -185,7 +197,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     merged = dict(DEFAULTS[command])
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            loaded = json.load(f, object_pairs_hook=_unique_keys)
+            loaded = json.load(f, object_pairs_hook=_unique_keys, parse_int=_JsonInt)
         if not isinstance(loaded, dict):
             raise ValueError("config root must be a JSON object")
         cfg_cmd = loaded.pop("command", command)

@@ -6,8 +6,10 @@ index) and every replica inside a point draws from its own stream, so
 results do not depend on worker count, chunking or execution order.
 Replica batches can be spread over a process pool; the pool returns
 them in submission order, which is replica order.  A sweep command
-(`sweep_explosion`, `tau_cdf_experiment`) opens one pool, runs every
-point on it and closes it before it returns, also when a point raises.
+(`sweep_explosion`, `tau_cdf_experiment`) opens one pool and queues the
+batches of every point on it at once; when a point raises, the batches
+still queued are cancelled.  The pool is closed before the command
+returns or raises.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from collections.abc import Callable, Iterator
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import NamedTuple, TypeVar
 
 import numpy as np
@@ -129,10 +132,6 @@ def _workers(jobs: int | None, n_replicas: int) -> int:
     return 1 if n_replicas < 256 else min(jobs or cores, cores, n_replicas)
 
 
-# Kind of an outcome by its code in a batch's kind bytes.
-_KINDS = tuple(ExcursionKind)
-
-
 def _outcomes(params: Params, cfg: SimConfig, start: int, stop: int) -> list[ExcursionOutcome]:
     """Outcomes of replicas start..stop-1: one `run_excursion` each from the all-zero start, else `run_blocks`."""
     if any(cfg.initial_state or ()):
@@ -140,14 +139,47 @@ def _outcomes(params: Params, cfg: SimConfig, start: int, stop: int) -> list[Exc
     return [run_excursion(params, cfg, r) for r in range(start, stop)]
 
 
-def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
-    """Outcomes of one replica range as columns: kind codes, steps, peaks.
+def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> tuple[tuple, ...]:
+    """Outcomes of one replica range as columns: kinds, steps, peaks.
 
-    Peaks stay Python ints: a count above the threshold is followed up to
-    1e300 and would overflow any fixed-width integer array.
+    Columns pickle without a NamedTuple per outcome, and each kind after
+    its first is a reference to it.  Peaks stay Python ints: a count above
+    the threshold is followed up to 1e300 and would overflow any
+    fixed-width integer array.
     """
-    kinds, steps, peaks = zip(*_outcomes(*payload))
-    return bytes(map(_KINDS.index, kinds)), steps, peaks
+    return tuple(zip(*_outcomes(*payload)))
+
+
+def _batches(params: Params, cfg: SimConfig, n_replicas: int, workers: int) -> list[tuple[Params, SimConfig, int, int]]:
+    """The batches of replicas 0..n-1 on `workers` workers, about 4 per worker, in replica order."""
+    chunk = max(256, -(-n_replicas // (workers * 4)))
+    chunk = -(-chunk // BLOCK) * BLOCK  # whole blocks, so no block is split between batches
+    return [(params, cfg, start, min(start + chunk, n_replicas)) for start in range(0, n_replicas, chunk)]
+
+
+@contextmanager
+def _pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+    """A pool of `workers` processes; on leaving, the batches still queued are
+    cancelled and the workers have exited."""
+    pool = ProcessPoolExecutor(workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+class _Queued(Executor):
+    """Batches submitted to `pool` up front, in the order given.
+
+    `map(_batch_task, batches)` hands back the results of those batches,
+    in the order asked for, as each arrives.
+    """
+
+    def __init__(self, pool: ProcessPoolExecutor, batches: list[tuple[Params, SimConfig, int, int]]) -> None:
+        self._futures = {batch: pool.submit(_batch_task, batch) for batch in batches}
+
+    def map(self, fn, batches):  # type: ignore[override]
+        return (self._futures.pop(batch).result() for batch in batches)
 
 
 def run_excursions(
@@ -156,7 +188,7 @@ def run_excursions(
     n_replicas: int,
     jobs: int | None = None,
     *,
-    pool: ProcessPoolExecutor | None = None,
+    pool: Executor | None = None,
 ) -> list[ExcursionOutcome]:
     """Outcomes of replicas 0..n-1, bit-identical for any worker count.
 
@@ -173,34 +205,35 @@ def run_excursions(
     workers = _workers(jobs, n_replicas)
     if workers == 1:
         return _outcomes(params, cfg, 0, n_replicas)
-    chunk = max(256, -(-n_replicas // (workers * 8)))
-    chunk = -(-chunk // BLOCK) * BLOCK  # whole blocks, so no block is split between batches
-    payloads = [
-        (params, cfg, start, min(start + chunk, n_replicas))
-        for start in range(0, n_replicas, chunk)
-    ]
     outcomes: list[ExcursionOutcome] = []
-    with nullcontext(pool) if pool is not None else ProcessPoolExecutor(workers) as executor:
-        for codes, steps, peaks in executor.map(_batch_task, payloads):
-            outcomes += map(ExcursionOutcome, map(_KINDS.__getitem__, codes), steps, peaks)
+    with nullcontext(pool) if pool is not None else _pool(workers) as executor:
+        for columns in executor.map(_batch_task, _batches(params, cfg, n_replicas, workers)):
+            # tuple.__new__ skips the NamedTuple's Python-level __new__
+            outcomes += map(tuple.__new__, repeat(ExcursionOutcome), zip(*columns))
     return outcomes
 
 
 def _per_point(spec: SweepSpec, reduce: Callable[[float, list[ExcursionOutcome]], _T]) -> list[_T]:
     """reduce(value, outcomes) for each swept value, all points run on one pool.
 
-    The pool's workers have exited when this returns or raises, so their
-    CPU time and memory are accounted to this process's reaped children.
+    Every point's batches are queued on the pool before the first point is
+    reduced, so the workers never wait for the parent.  The pool's workers
+    have exited when this returns or raises, so their CPU time and memory
+    are accounted to this process's reaped children.
     """
     workers = _workers(spec.jobs, spec.replicas)
     seed = spec.sim.master_seed
-    with nullcontext() if workers == 1 else ProcessPoolExecutor(workers) as pool:
+    points = [
+        (value, spec.params_at(value), replace(spec.sim, master_seed=derive_point_seed(seed, idx)))
+        for idx, value in enumerate(spec.values)
+    ]
+    with nullcontext() if workers == 1 else _pool(workers) as pool:
+        queued = None if pool is None else _Queued(
+            pool, [batch for _, params, cfg in points for batch in _batches(params, cfg, spec.replicas, workers)]
+        )
         return [
-            reduce(value, run_excursions(
-                spec.params_at(value), replace(spec.sim, master_seed=derive_point_seed(seed, idx)),
-                spec.replicas, spec.jobs, pool=pool,
-            ))
-            for idx, value in enumerate(spec.values)
+            reduce(value, run_excursions(params, cfg, spec.replicas, spec.jobs, pool=queued))
+            for value, params, cfg in points
         ]
 
 
@@ -208,15 +241,21 @@ def sweep_explosion(spec: SweepSpec) -> list[SweepRow]:
     """Explosion proportion with exact confidence interval per swept value."""
 
     def row(value: float, outcomes: list[ExcursionOutcome]) -> SweepRow:
-        kinds = Counter(o.kind for o in outcomes)
-        exploded, n = kinds[ExcursionKind.EXPLODED], spec.replicas
-        returned = [o.steps for o in outcomes if o.kind is ExcursionKind.RETURNED]
+        exploded = censored = returned = total = 0
+        for kind, steps, _ in outcomes:
+            if kind is ExcursionKind.RETURNED:
+                returned += 1
+                total += steps
+            elif kind is ExcursionKind.EXPLODED:
+                exploded += 1
+            else:
+                censored += 1
+        n = spec.replicas
         interval = clopper_pearson(exploded, n, spec.alpha)
         return SweepRow(
             swept_value=value, exploded=exploded, N=n, proportion=exploded / n,
             ci_lower=interval.lower, ci_upper=interval.upper,
-            mean_tau_returned=sum(returned) / len(returned) if returned else None,
-            censored=kinds[ExcursionKind.CENSORED],
+            mean_tau_returned=total / returned if returned else None, censored=censored,
         )
 
     return _per_point(spec, row)
@@ -228,7 +267,7 @@ def tau_cdf_experiment(spec: SweepSpec) -> dict[float, list[tuple[int, float]]]:
     Exploded excursions carry the sentinel horizon+1 and appear as a
     final atom; censored ones sit at the horizon itself.
     """
-    curves = _per_point(spec, lambda value, outcomes: (value, ecdf([o.steps for o in outcomes])))
+    curves = _per_point(spec, lambda value, outcomes: (value, ecdf([steps for _, steps, _ in outcomes])))
     return dict(curves)
 
 

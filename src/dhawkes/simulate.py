@@ -131,7 +131,7 @@ class TrajectoryResult:
 # Per thread, made on its first replica_rng call: `rng`, the thread's one
 # generator, and `start`, the Philox state that rewinds it.  Only the key
 # of `start` changes between replicas; reusing the dict saves building it
-# on every call.
+# on every call.  `plan` is run_excursion's (see `_plan`).
 _THREAD = threading.local()
 
 
@@ -314,14 +314,34 @@ def run_excursion(params: Params, cfg: SimConfig, replica_index: int) -> Excursi
 
     Below the threshold the excursion runs in `_excursion_loop(p)`; from
     the first count above it (or from the start, if the threshold lets the
-    mean exceed NORMAL_SWITCH) it is followed through `step`.
+    mean exceed NORMAL_SWITCH) it is followed through `step`.  The start,
+    that choice and the loop come from this thread's plan (`_plan`).
     """
     rng = replica_rng(cfg.master_seed, replica_index)
-    state0 = _initial(params, cfg)
-    if _normal_below_threshold(params, cfg, state0):
+    plan = getattr(_THREAD, "plan", _NO_PLAN)
+    if plan[0] is not params or plan[1] is not cfg:
+        plan = _THREAD.plan = _plan(params, cfg)
+    _, _, state0, loop, lam, m, horizon = plan
+    if loop is None:
         return _follow(params, cfg, rng, state0, 0, 0)
-    m = cfg.explosion_threshold_m
-    return _excursion_loop(params.p)(params, cfg, rng, state0, params.lam, m, cfg.horizon_n)
+    return loop(params, cfg, rng, state0, lam, m, horizon)
+
+
+_NO_PLAN = (None,) * 7  # a thread's plan before its first excursion
+
+
+def _plan(params: Params, cfg: SimConfig) -> tuple:
+    """What run_excursion needs of (params, cfg) besides the stream: params,
+    cfg, the start, the compiled loop (None where the start is followed
+    through `step`), lam, the threshold and the horizon.
+
+    Each thread keeps the plan of the last pair it ran in `_THREAD.plan`,
+    matched by identity, so a batch builds it once.  The plan holds both
+    objects, so no other object can take their identities while it is kept.
+    """
+    state0 = _initial(params, cfg)
+    loop = None if _normal_below_threshold(params, cfg, state0) else _excursion_loop(params.p)
+    return params, cfg, state0, loop, params.lam, cfg.explosion_threshold_m, cfg.horizon_n
 
 
 def _normal_below_threshold(params: Params, cfg: SimConfig, state0: State) -> bool:

@@ -421,6 +421,22 @@ def test_config_integers_write_what_their_flags_write(command, tmp_path, capsys)
     assert written[0] == written[1]
 
 
+def test_config_minus_zero_writes_what_its_flag_writes(tmp_path, capsys):
+    # json reads -0 as the int 0: the config run wrote "c": 0.0 where --fix a=3,c=-0 writes -0.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"lam": 1, "fix": {"a": 3, "c": -0}, "seed": -0}')
+    common = ["--sweep", "b=0,2", "--replicas", "300", "--jobs", "1"]
+    flags = ["--lam", "1", "--fix", "a=3,c=-0", "--seed=-0"]
+    mirrors = []
+    for name, given in (("config", ["--config", str(cfg)]), ("flags", flags)):
+        code, _, err = run(["sweep", *given, *common, "--out", str(tmp_path / name)], capsys)
+        assert code == 0, err
+        mirrors.append((tmp_path / f"{name}.json").read_bytes())
+    assert mirrors[0] == mirrors[1]
+    spec = json.loads(mirrors[0])
+    assert math.copysign(1.0, spec["fixed"]["c"]) == -1.0 and spec["master_seed"] == 0
+
+
 def test_config_integer_past_float_range_reads_as_its_flag(tmp_path, capsys):
     # inf, as --lam reads the same digits; the config run used to exit on "int too large to convert to float"
     huge = "1" + "0" * 400

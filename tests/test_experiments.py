@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -135,11 +136,99 @@ def test_sweep_rows_match_outcome_recount():
 
 @pytest.mark.parametrize("replicas", [1000, 200])  # pooled at jobs=2, and below the pool's floor
 def test_sweep_and_ecdf_equal_at_one_and_two_jobs(replicas):
-    serial, pooled = (spec_at([0.5, 2.0, 4.0], replicas=replicas, jobs=j) for j in (1, 2))
+    # the pool runs the points' batches interleaved; b = 1 runs some excursions to the horizon
+    serial, pooled = (spec_at([0.0, 0.5, 1.0, 2.0, 3.0, 4.0], replicas=replicas, jobs=j) for j in (1, 2))
     rows = sweep_explosion(serial)
     assert rows == sweep_explosion(pooled)
     assert rows[-1].exploded > 0
+    assert replicas < 1000 or rows[2].censored > 0
     assert tau_cdf_experiment(serial) == tau_cdf_experiment(pooled)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("command", [sweep_explosion, tau_cdf_experiment])
+def test_each_point_is_one_run_excursions_call(command, jobs, monkeypatch):
+    # bench/tracing.py finds a sweep's points as the run_excursions calls it
+    # makes, and reads (params, cfg, n_replicas) from their arguments
+    real, calls = experiments.run_excursions, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_excursions", counted)
+    spec = spec_at([0.0, 2.0, 4.0], replicas=600, jobs=jobs)
+    command(spec)
+    assert calls == [
+        (spec.params_at(v), replace(spec.sim, master_seed=derive_point_seed(spec.sim.master_seed, i)), 600)
+        for i, v in enumerate(spec.values)
+    ]
+
+
+def test_zero_start_batches_run_one_excursion_per_replica(monkeypatch):
+    # an in-process batch is seen by the tracer through these calls
+    real, calls = experiments.run_excursion, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "run_excursion", counted)
+    params, cfg = Params.p3(3.0, 2.0, -15.0, lam=1.0), SimConfig(horizon_n=500, master_seed=3)
+    outcomes = experiments._outcomes(params, cfg, 256, 300)
+    assert calls == [(params, cfg, r) for r in range(256, 300)]
+    assert outcomes == [real(params, cfg, r) for r in range(256, 300)]
+    calls.clear()
+    run_excursions(params, cfg, 300, jobs=1)
+    assert calls == [(params, cfg, r) for r in range(300)]
+
+
+class _RecordedPool(ProcessPoolExecutor):
+    """Logs each submission and each read of a submitted batch's result."""
+
+    events: list[str] = []
+    futures: list = []
+
+    def submit(self, fn, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.futures.append(future)
+        events, result = self.events, future.result
+
+        def read(*a, **k):
+            events.append("result")
+            return result(*a, **k)
+
+        future.result = read
+        events.append("submit")
+        return future
+
+
+@pytest.mark.parametrize("command", [sweep_explosion, tau_cdf_experiment])
+def test_every_batch_is_queued_before_the_first_result_is_read(command, monkeypatch):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordedPool)
+    monkeypatch.setattr(_RecordedPool, "events", [])
+    spec = spec_at([0.0, 2.0, 4.0], replicas=1000, jobs=2)
+    serial = command(replace(spec, jobs=1))
+    assert command(spec) == serial
+    batches = 3 * len(experiments._batches(spec.params_at(0.0), spec.sim, 1000, 2))
+    assert batches > 3  # more than one batch per point
+    assert _RecordedPool.events == ["submit"] * batches + ["result"] * batches
+    assert multiprocessing.active_children() == []
+
+    # a point that fails in the parent cancels the batches still queued
+    name = "clopper_pearson" if command is sweep_explosion else "ecdf"
+
+    def fails(*args):
+        raise RuntimeError("parent step failed")
+
+    monkeypatch.setattr(experiments, name, fails)
+    monkeypatch.setattr(_RecordedPool, "futures", [])
+    failing = spec_at([0.0, 0.5, 2.0, 3.0, 4.0], replicas=4000, jobs=2)
+    with pytest.raises(RuntimeError, match="parent step failed"):
+        command(failing)
+    assert len(_RecordedPool.futures) == 5 * len(experiments._batches(failing.params_at(0.0), failing.sim, 4000, 2))
+    assert any(f.cancelled() for f in _RecordedPool.futures)
+    assert multiprocessing.active_children() == []
 
 
 class _CountedPool(ProcessPoolExecutor):

@@ -7,6 +7,7 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy.stats import chi2, poisson
 
+from dhawkes import simulate
 from dhawkes.classify import Verdict, classify
 from dhawkes.model import Params, check_state, intensity
 from dhawkes.simulate import (
@@ -81,6 +82,49 @@ def test_run_excursion_thread_safe():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+def _unplanned_excursion(params, cfg, replica_index):
+    """run_excursion without a kept plan: every call builds the start, the
+    NORMAL_SWITCH verdict and the loop anew."""
+    rng = replica_rng(cfg.master_seed, replica_index)
+    state0 = simulate._initial(params, cfg)
+    if simulate._normal_below_threshold(params, cfg, state0):
+        return simulate._follow(params, cfg, rng, state0, 0, 0)
+    m = cfg.explosion_threshold_m
+    return simulate._excursion_loop(params.p)(params, cfg, rng, state0, params.lam, m, cfg.horizon_n)
+
+
+def test_thread_plan_gives_the_unplanned_outcomes():
+    near = Params.p3(3.0, 1.0, -15.0, lam=1.0), SimConfig(horizon_n=3000, master_seed=5)
+    wild = Params.p3(3.0, 4.0, -15.0, lam=0.5), SimConfig(horizon_n=800, explosion_threshold_m=40, master_seed=6)
+    # the threshold lets a mean pass NORMAL_SWITCH below it: a plan with no loop
+    normal = Params.p3(3.0, 0.5, -15.0, lam=1.0), SimConfig(horizon_n=200, explosion_threshold_m=2**62, master_seed=7)
+    # each pair shares its params or its cfg with the one before it: each call rebuilds the plan
+    for r in range(300):
+        for params, cfg in (near, (near[0], wild[1]), wild, (wild[0], near[1])):
+            assert run_excursion(params, cfg, r) == _unplanned_excursion(params, cfg, r)
+    assert {run_excursion(*wild, r).kind for r in range(300)} == {ExcursionKind.RETURNED, ExcursionKind.EXPLODED}
+
+    run_excursion(*normal, 0)
+    assert simulate._THREAD.plan[:4] == (*normal, (0, 0, 0), None)
+    assert [run_excursion(*normal, r) for r in range(50)] == [_unplanned_excursion(*normal, r) for r in range(50)]
+
+    # an equal but distinct config gets a plan of its own, with the same outcomes
+    params, cfg = near
+    twin = SimConfig(horizon_n=3000, master_seed=5)
+    assert twin == cfg and twin is not cfg
+    for r in range(50):
+        for given in (twin, cfg):
+            assert run_excursion(params, given, r) == _unplanned_excursion(params, cfg, r)
+            assert simulate._THREAD.plan[1] is given
+
+    # another thread keeps its own plan and leaves this thread's in place
+    plan = simulate._THREAD.plan
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        other = pool.submit(lambda: ([run_excursion(*wild, r) for r in range(100)], simulate._THREAD.plan)).result()
+    assert other[0] == [_unplanned_excursion(*wild, r) for r in range(100)]
+    assert other[1][:2] == wild and simulate._THREAD.plan is plan
 
 
 def test_sample_poisson_zero_mean():
