@@ -33,8 +33,8 @@ from .simulate import (
     ExcursionKind,
     ExcursionOutcome,
     SimConfig,
+    _outcomes,
     detect_alternation,
-    run_blocks,
     run_excursion,
     run_trajectory,
 )
@@ -132,13 +132,6 @@ def _workers(jobs: int | None, n_replicas: int) -> int:
     return 1 if n_replicas < 256 else min(jobs or cores, cores, n_replicas)
 
 
-def _outcomes(params: Params, cfg: SimConfig, start: int, stop: int) -> list[ExcursionOutcome]:
-    """Outcomes of replicas start..stop-1: one `run_excursion` each from the all-zero start, else `run_blocks`."""
-    if any(cfg.initial_state or ()):
-        return run_blocks(params, cfg, start, stop)
-    return [run_excursion(params, cfg, r) for r in range(start, stop)]
-
-
 def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> tuple[tuple, ...]:
     """Outcomes of one replica range as columns: kinds, steps, peaks.
 
@@ -153,7 +146,7 @@ def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> tuple[tuple, ...
 def _batches(params: Params, cfg: SimConfig, n_replicas: int, workers: int) -> list[tuple[Params, SimConfig, int, int]]:
     """The batches of replicas 0..n-1 on `workers` workers, about 4 per worker, in replica order."""
     chunk = max(256, -(-n_replicas // (workers * 4)))
-    chunk = -(-chunk // BLOCK) * BLOCK  # whole blocks, so no block is split between batches
+    chunk = -(-chunk // BLOCK) * BLOCK  # whole blocks, so no batch runs a block another batch runs
     return [(params, cfg, start, min(start + chunk, n_replicas)) for start in range(0, n_replicas, chunk)]
 
 
@@ -192,13 +185,15 @@ def run_excursions(
 ) -> list[ExcursionOutcome]:
     """Outcomes of replicas 0..n-1, bit-identical for any worker count.
 
-    From the all-zero start replica r is `run_excursion(r)`; from any other
-    start the batch runs in `simulate.run_blocks`, so replica r has
-    run_excursion's law but not its stream (it is `run_excursion(r)` where
-    a mean above NORMAL_SWITCH can occur below the threshold), and
+    Each batch runs in `simulate._outcomes`: replica r is
+    `run_excursion(r)` from the all-zero start and where a mean above
+    NORMAL_SWITCH can occur below the threshold; from any other start it
+    has run_excursion's law but not its stream.  Either way
     `run_excursions(n)[:k] == run_excursions(k)`.  jobs=None uses every
-    core.  Batches run on `pool` when one is given (it stays open);
-    otherwise a pool is opened for this call and closed before it returns.
+    core.  With jobs=1, or with fewer than 256 replicas, the batch runs in
+    this process and `pool` is not used.  Otherwise batches run on `pool`
+    when one is given (it stays open), or on a pool opened for this call
+    and closed before it returns.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")

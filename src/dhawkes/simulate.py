@@ -10,14 +10,15 @@ key and starting counter alone, so each thread keeps one generator and
 rewinds it to the start of a replica's stream instead of building one
 per replica.
 
-A batch from the all-zero start is one `run_excursion` per replica; from
-any other start it runs in `run_blocks`, where BLOCK replicas step
-together on one stream keyed by (seed, block index) and a replica that
-crosses the threshold is followed on a stream keyed by (seed, replica).
-These streams start at high counter words 1 and 2, the per-replica ones
-at 0, so none overlap.  Replica r then has `run_excursion(r)`'s law, not
-its stream, and depends only on (params, cfg, r); but where a mean above
-NORMAL_SWITCH can occur below the threshold it is `run_excursion(r)`.
+`_outcomes` runs every batch of replicas.  Replica r is
+`run_excursion(r)` from the all-zero start and wherever a mean above
+NORMAL_SWITCH can occur below the threshold.  From any other start,
+BLOCK replicas step together on one stream keyed by (seed, block index),
+and a replica that crosses the threshold is followed on a stream keyed
+by (seed, replica).  These streams start at high counter words 1 and 2,
+the per-replica ones at 0, so none overlap.  Replica r then has
+`run_excursion(r)`'s law, not its stream, and depends only on
+(params, cfg, r).
 
 An excursion starts from the configured initial state (all zeros by
 default) and ends at the first return to the all-zero state, at a
@@ -131,7 +132,7 @@ class TrajectoryResult:
 # Per thread, made on its first replica_rng call: `rng`, the thread's one
 # generator, and `start`, the Philox state that rewinds it.  Only the key
 # of `start` changes between replicas; reusing the dict saves building it
-# on every call.  `plan` is run_excursion's (see `_plan`).
+# on every call.  `plan` is the one `_plan` keeps.
 _THREAD = threading.local()
 
 
@@ -318,10 +319,7 @@ def run_excursion(params: Params, cfg: SimConfig, replica_index: int) -> Excursi
     that choice and the loop come from this thread's plan (`_plan`).
     """
     rng = replica_rng(cfg.master_seed, replica_index)
-    plan = getattr(_THREAD, "plan", _NO_PLAN)
-    if plan[0] is not params or plan[1] is not cfg:
-        plan = _THREAD.plan = _plan(params, cfg)
-    _, _, state0, loop, lam, m, horizon = plan
+    _, _, state0, loop, lam, m, horizon = _plan(params, cfg)
     if loop is None:
         return _follow(params, cfg, rng, state0, 0, 0)
     return loop(params, cfg, rng, state0, lam, m, horizon)
@@ -331,44 +329,48 @@ _NO_PLAN = (None,) * 7  # a thread's plan before its first excursion
 
 
 def _plan(params: Params, cfg: SimConfig) -> tuple:
-    """What run_excursion needs of (params, cfg) besides the stream: params,
-    cfg, the start, the compiled loop (None where the start is followed
-    through `step`), lam, the threshold and the horizon.
+    """This thread's plan of (params, cfg): params, cfg, the start, the
+    compiled loop, lam, the threshold and the horizon.
 
-    Each thread keeps the plan of the last pair it ran in `_THREAD.plan`,
-    matched by identity, so a batch builds it once.  The plan holds both
-    objects, so no other object can take their identities while it is kept.
+    The loop is None where a mean above NORMAL_SWITCH can occur before any
+    count crosses the threshold; an excursion is then followed through
+    `step` from the start.  Each thread keeps the plan of the last pair it
+    was asked for in `_THREAD.plan`, matched by identity, so a batch builds
+    it once.  The plan holds both objects, so no other object can take
+    their identities while it is kept.
     """
-    state0 = _initial(params, cfg)
-    loop = None if _normal_below_threshold(params, cfg, state0) else _excursion_loop(params.p)
-    return params, cfg, state0, loop, params.lam, cfg.explosion_threshold_m, cfg.horizon_n
+    plan = getattr(_THREAD, "plan", _NO_PLAN)
+    if plan[0] is params and plan[1] is cfg:
+        return plan
+    state0, m = _initial(params, cfg), cfg.explosion_threshold_m
+    top = max(m, *state0)  # no count met below the threshold is larger
+    loop = None if params.lam + params.positive_sum * top > NORMAL_SWITCH else _excursion_loop(params.p)
+    plan = _THREAD.plan = (params, cfg, state0, loop, params.lam, m, cfg.horizon_n)
+    return plan
 
 
-def _normal_below_threshold(params: Params, cfg: SimConfig, state0: State) -> bool:
-    """Whether a mean above NORMAL_SWITCH can occur before any count crosses the threshold."""
-    top = max(cfg.explosion_threshold_m, *state0)  # no count met below the threshold is larger
-    return params.lam + params.positive_sum * top > NORMAL_SWITCH
+def _outcomes(params: Params, cfg: SimConfig, start: int, stop: int) -> list[ExcursionOutcome]:
+    """Outcomes of replicas start..stop-1: the one place a batch's engine is chosen.
 
+    Replica r is `run_excursion(r)` from the all-zero start, and wherever
+    a mean above NORMAL_SWITCH can occur below the threshold.  From any
+    other start, every block of BLOCK replicas that holds one of them runs
+    in full in `_run_block` and the range is sliced out, so replica r
+    depends on (params, cfg, r) only, not on how a batch is cut.
 
-def run_blocks(params: Params, cfg: SimConfig, start: int, stop: int) -> list[ExcursionOutcome]:
-    """Outcomes of replicas start..stop-1, BLOCK replicas in lockstep.
-
-    `start` must be a multiple of BLOCK.  The last block is run in full,
-    so replica r's outcome depends on (params, cfg, r) only, not on how a
-    batch is cut.  Outcomes have the law of `run_excursion`'s, not its
-    streams, except where a mean above NORMAL_SWITCH can occur below the
-    threshold: there replica r is followed through `step` from the start
-    on its own stream, and is `run_excursion(r)`.
+    This function is private and calls `run_excursion` by the module's
+    global name, so a traced run (bench/tracing.py wraps the public
+    functions) records each per-replica excursion as a `run_excursion`
+    span directly under the `run_excursions` that asked for it.
     """
-    if start < 0 or start % BLOCK:
-        raise ValueError(f"start must be a multiple of {BLOCK} and >= 0, got {start}")
-    state0 = _initial(params, cfg)
-    if _normal_below_threshold(params, cfg, state0):
-        return [_follow(params, cfg, replica_rng(cfg.master_seed, r), state0, 0, 0) for r in range(start, stop)]
+    _, _, state0, loop = _plan(params, cfg)[:4]
+    if loop is None or not any(state0):
+        return [run_excursion(params, cfg, r) for r in range(start, stop)]
+    first = start // BLOCK
     outcomes: list[ExcursionOutcome] = []
-    for block in range(start // BLOCK, -(-stop // BLOCK)):
+    for block in range(first, -(-stop // BLOCK)):
         outcomes += _run_block(params, cfg, state0, block)
-    return outcomes[: stop - start]
+    return outcomes[start - first * BLOCK : stop - first * BLOCK]
 
 
 def _run_block(params: Params, cfg: SimConfig, state0: State, block: int) -> list[ExcursionOutcome]:

@@ -19,7 +19,7 @@ from dhawkes.simulate import (
     ExcursionKind,
     ExcursionOutcome,
     SimConfig,
-    run_blocks,
+    _outcomes,
     run_excursion,
 )
 
@@ -92,7 +92,7 @@ def _replayed_block(params, cfg, block):
 )
 def test_kernel_replays_its_block_stream(params, cfg):
     assert _on_kernel(params, cfg)
-    outcomes = run_blocks(params, cfg, BLOCK, 3 * BLOCK)
+    outcomes = _outcomes(params, cfg, BLOCK, 3 * BLOCK)
     assert outcomes == _replayed_block(params, cfg, 1) + _replayed_block(params, cfg, 2)
     assert all(type(o.steps) is int and type(o.peak) is int for o in outcomes)
 
@@ -103,13 +103,8 @@ def test_kernel_batches_equal_at_one_and_two_jobs_and_cut_anywhere():
     serial = run_excursions(params, cfg, n, jobs=1)
     assert serial == run_excursions(params, cfg, n, jobs=2)
     assert run_excursions(params, cfg, k, jobs=1) == serial[:k]
-    assert run_blocks(params, cfg, BLOCK, k) == serial[BLOCK:k]
+    assert _outcomes(params, cfg, BLOCK, k) == serial[BLOCK:k]
     assert {o.kind for o in serial} == {ExcursionKind.RETURNED, ExcursionKind.EXPLODED}
-
-
-def test_run_blocks_starts_on_a_block():
-    with pytest.raises(ValueError, match="multiple of"):
-        run_blocks(*CROSSING, 5, 10)
 
 
 @pytest.mark.parametrize(
@@ -133,7 +128,7 @@ def test_crossing_hands_follow_the_exact_window(params, state0, big, monkeypatch
         return follow(params, cfg, rng, state, n, peak)
 
     monkeypatch.setattr(simulate, "_follow", recording)
-    outcomes = run_blocks(params, cfg, 0, BLOCK)
+    outcomes = _outcomes(params, cfg, 0, BLOCK)
     monkeypatch.setattr(simulate, "_follow", follow)
     assert outcomes == _replayed_block(params, cfg, 0)
     # the big count is at lag 2 after step 1 and at lag 3 after step 2
@@ -142,15 +137,33 @@ def test_crossing_hands_follow_the_exact_window(params, state0, big, monkeypatch
     assert all(type(x) is int for state, _ in handed for x in state)
 
 
-def test_normal_switch_start_runs_per_replica(monkeypatch):
-    params = Params.p3(3.0, 4.0, -15.0)
-    cfg = SimConfig(horizon_n=200, explosion_threshold_m=10**18, master_seed=8, initial_state=(1, 0, 0))
+# a start whose means can pass NORMAL_SWITCH below the threshold
+NORMAL = (
+    Params.p3(3.0, 4.0, -15.0),
+    SimConfig(horizon_n=200, explosion_threshold_m=10**18, master_seed=8, initial_state=(1, 0, 0)),
+)
+
+
+def test_normal_switch_start_runs_per_replica():
+    params, cfg = NORMAL
     assert params.lam + params.positive_sum * 10**18 > NORMAL_SWITCH
     single = [run_excursion(params, cfg, r) for r in range(20)]
     assert run_excursions(params, cfg, 20, jobs=1) == single
-    # run_blocks follows each replica itself: a traced run_excursion span never nests under it
-    monkeypatch.setattr(simulate, "run_excursion", None)
-    assert run_blocks(params, cfg, 0, 20) == single
+    assert _outcomes(params, cfg, 0, 20) == single
+
+
+@pytest.mark.parametrize(
+    "params, cfg",
+    [
+        (Params.p3(3.0, 0.0, -15.0), SimConfig(horizon_n=2000, master_seed=5, initial_state=(9, 0, 0))),
+        NORMAL,
+        (Params.p3(3.0, 2.0, -15.0), SimConfig(horizon_n=500, master_seed=5)),
+    ],
+    ids=["kernel", "normal-switch", "zero"],
+)
+def test_a_range_may_start_inside_a_block(params, cfg):
+    assert _outcomes(params, cfg, 5, 300) == _outcomes(params, cfg, 0, 300)[5:]
+    assert _outcomes(params, cfg, BLOCK + 3, BLOCK + 9) == _outcomes(params, cfg, 0, 300)[BLOCK + 3 : BLOCK + 9]
 
 
 @pytest.mark.parametrize("start", [None, (0, 0, 0)], ids=["None", "zeros"])

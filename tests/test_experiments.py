@@ -1,11 +1,13 @@
+import inspect
 import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
 
-from dhawkes import experiments
+from dhawkes import experiments, simulate
 from dhawkes.experiments import (
     SweepSpec,
     derive_point_seed,
@@ -167,20 +169,71 @@ def test_each_point_is_one_run_excursions_call(command, jobs, monkeypatch):
 
 def test_zero_start_batches_run_one_excursion_per_replica(monkeypatch):
     # an in-process batch is seen by the tracer through these calls
-    real, calls = experiments.run_excursion, []
+    real, calls = simulate.run_excursion, []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(experiments, "run_excursion", counted)
+    monkeypatch.setattr(simulate, "run_excursion", counted)
     params, cfg = Params.p3(3.0, 2.0, -15.0, lam=1.0), SimConfig(horizon_n=500, master_seed=3)
-    outcomes = experiments._outcomes(params, cfg, 256, 300)
+    outcomes = simulate._outcomes(params, cfg, 256, 300)
     assert calls == [(params, cfg, r) for r in range(256, 300)]
     assert outcomes == [real(params, cfg, r) for r in range(256, 300)]
     calls.clear()
     run_excursions(params, cfg, 300, jobs=1)
     assert calls == [(params, cfg, r) for r in range(300)]
+
+
+def _traced(monkeypatch) -> list[tuple[str, str | None]]:
+    """Wrap every public function of dhawkes.simulate and dhawkes.experiments
+    in each dhawkes namespace that refers to it, as the benchmark's tracer
+    does; each call then appends (its name, its nearest wrapped caller)."""
+    calls: list[tuple[str, str | None]] = []
+    stack: list[str] = []
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, stack[-1] if stack else None))
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        return wrapper
+
+    namespaces = [m for n, m in sorted(sys.modules.items()) if n == "dhawkes" or n.startswith("dhawkes.")]
+    for home in (simulate, experiments):
+        for name, fn in list(vars(home).items()):
+            if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != home.__name__:
+                continue
+            wrapper = wrap(name, fn)
+            for ns in namespaces:
+                if vars(ns).get(name) is fn:
+                    monkeypatch.setattr(ns, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "params, cfg, per_replica",
+    [
+        (Params.p3(3.0, 2.0, -15.0), SimConfig(horizon_n=500, master_seed=3), True),
+        # the block kernel
+        (Params.p3(3.0, 0.0, -15.0), SimConfig(horizon_n=500, master_seed=3, initial_state=(9, 0, 0)), False),
+        # means can pass NORMAL_SWITCH below the threshold
+        (Params.p3(3.0, 4.0, -15.0),
+         SimConfig(horizon_n=200, explosion_threshold_m=10**18, master_seed=3, initial_state=(1, 0, 0)), True),
+    ],
+    ids=["zero", "kernel", "normal-switch"],
+)
+def test_traced_batch_has_one_run_excursion_per_replica_under_run_excursions(params, cfg, per_replica, monkeypatch):
+    # the benchmark's tracer counts outcomes from these spans, and replays a
+    # run_excursions span with no run_excursion child as a pooled batch
+    calls = _traced(monkeypatch)
+    experiments.run_excursions(params, cfg, 300, jobs=1)  # the wrapped function
+    excursions = [caller for name, caller in calls if name == "run_excursion"]
+    assert excursions == (["run_excursions"] * 300 if per_replica else [])
 
 
 class _RecordedPool(ProcessPoolExecutor):

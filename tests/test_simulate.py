@@ -11,6 +11,7 @@ from dhawkes import simulate
 from dhawkes.classify import Verdict, classify
 from dhawkes.model import Params, check_state, intensity
 from dhawkes.simulate import (
+    NORMAL_SWITCH,
     OVERFLOW_GUARD,
     ExcursionKind,
     SimConfig,
@@ -86,12 +87,17 @@ def test_run_excursion_thread_safe():
 
 def _unplanned_excursion(params, cfg, replica_index):
     """run_excursion without a kept plan: every call builds the start, the
-    NORMAL_SWITCH verdict and the loop anew."""
+    NORMAL_SWITCH verdict and the loop anew.
+
+    The excursion is followed through `step` from the start where
+    lam + sum(a_i^+) max(m, start) > NORMAL_SWITCH: a mean that large can
+    occur before any count crosses the threshold m.
+    """
     rng = replica_rng(cfg.master_seed, replica_index)
     state0 = simulate._initial(params, cfg)
-    if simulate._normal_below_threshold(params, cfg, state0):
-        return simulate._follow(params, cfg, rng, state0, 0, 0)
     m = cfg.explosion_threshold_m
+    if params.lam + sum(max(a, 0.0) for a in params.coeffs) * max(m, *state0) > NORMAL_SWITCH:
+        return simulate._follow(params, cfg, rng, state0, 0, 0)
     return simulate._excursion_loop(params.p)(params, cfg, rng, state0, params.lam, m, cfg.horizon_n)
 
 
