@@ -19,6 +19,7 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict
@@ -174,6 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for command, (summary, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
+        # argparse takes only -5 and -.5 forms for negative numbers and reads
+        # -1e-3, -1,2 or -3:2 as a flag.  No flag here has a digit or "." after
+        # its dash, so any such token is a value.
+        p._negative_number_matcher = re.compile(r"-[\d.]")
         for key in DEFAULTS[command]:
             parse, _, help_text = _OPTIONS[key]
             flag = f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")

@@ -8,7 +8,10 @@ to the mirror polynomial Q(X) = -P(-X) = X^3 + a X^2 - b X + c that
 drive the ratio Lyapunov construction (its positive root alpha_Q, the
 2x2 minor R, and the off-diagonal reduction term K).  cubic_reports
 works these out for arrays of points in one batched solve, and
-cubic_report is its one-point case.
+cubic_report is its one-point case.  The solve is float64 throughout:
+companion eigenvalues, then Newton steps on the real roots; the modulus
+of a complex pair z, conj(z) comes from the real root r by Vieta,
+r |z|^2 = c.
 """
 
 from __future__ import annotations
@@ -84,40 +87,6 @@ def _newton(a, b, c, x, steps: int):
     return x
 
 
-# Newton steps for the roots np.roots returns as complex128, on (real, imag)
-# float64 arrays.  numpy's complex128 arrays multiply with other rounding
-# than its complex128 scalars (about 45% of random products differ in the
-# last bit; numpy 2.4, x86-64), so this copies the scalar arithmetic: a
-# float operand is the complex (x, 0.0), products are (ac - bd, ad + bc).
-def _mul(ar, ai, br, bi):
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _quot(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) as a complex128 scalar divides: Smith's method times 1/denominator."""
-    big = np.abs(br) >= np.abs(bi)
-    r1, r2 = bi / br, br / bi
-    scale = 1.0 / np.where(big, br + bi * r1, br * r2 + bi)
-    re = np.where(big, ar + ai * r1, ar * r2 + ai)
-    return re * scale, np.where(big, ai - ar * r1, ai * r2 - ar) * scale
-
-
-def _polish(a, b, c, re, im, steps: int):
-    """_newton on complex roots given as real and imaginary parts."""
-    live = np.ones(re.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):  # stopped roots and unused branches
-        for _ in range(steps):
-            dr, di = _mul(3.0, 0.0, re, im)
-            dr, di = _mul(dr - 2.0 * a, di, re, im)
-            dr = dr - b
-            live &= ~(np.hypot(dr, di) < 1e-300)
-            pr, pi = _mul(re - a, im, re, im)
-            pr, pi = _mul(pr - b, pi, re, im)
-            qr, qi = _quot(pr - c, pi, dr, di)
-            re, im = np.where(live, re - qr, re), np.where(live, im - qi, im)
-    return re, im
-
-
 def _multiple_root_candidates(a: float, b: float, c: float) -> np.ndarray | None:
     """Roots when Disc ~ 0: rebuild the repeated root from the derivative.
 
@@ -129,14 +98,14 @@ def _multiple_root_candidates(a: float, b: float, c: float) -> np.ndarray | None
     """
     d = a * a + 3.0 * b
     if abs(d) <= 1e-9 * max(1.0, a * a):
-        return np.full(3, a / 3.0, dtype=complex)
+        return np.full(3, a / 3.0)
     if d < 0.0:
         return None  # no real critical points: no multiple real root
     sq = math.sqrt(d)
     r_plus, r_minus = (a + sq) / 3.0, (a - sq) / 3.0
     double = min((r_plus, r_minus), key=lambda r: abs(p_eval(a, b, c, r)))
     simple = a - 2.0 * double
-    return np.array([double, double, simple], dtype=complex)
+    return np.array([double, double, simple])
 
 
 def _companion_roots(a, b, c):
@@ -146,8 +115,7 @@ def _companion_roots(a, b, c):
     matrices, laid out as np.roots lays them out.  np.roots strips a
     trailing zero coefficient, so where c == 0 it solves the 2x2 companion
     and appends the root 0; b = c = 0 is on the boundary band and never
-    gets here.  The third array says whether a point's roots are all real,
-    which is when np.roots returns them as float64 rather than complex128.
+    gets here.
     """
     re, im = np.zeros((len(a), 3)), np.zeros((len(a), 3))
     for k, sel in ((3, c != 0.0), (2, c == 0.0)):
@@ -157,7 +125,7 @@ def _companion_roots(a, b, c):
             m[:, range(1, k), range(k - 1)] = 1.0
             w = np.linalg.eigvals(m)
             re[sel, :k], im[sel, :k] = w.real, w.imag
-    return re, im, (im == 0.0).all(axis=1)
+    return re, im
 
 
 def r_of_alpha(a: float, b: float, alpha: float) -> float:
@@ -270,14 +238,16 @@ def cubic_reports(a, b, c) -> CubicReports:
 
     Disc, the band and the roots are computed for all points at once.  The
     companion eigenvalues (one np.linalg.eigvals call) are the roots
-    np.roots would return; they get 3 Newton steps in the arithmetic of
-    the type np.roots returns them in (float64 where all three are real),
-    then the real parts get 5 float64 steps.  On the band,
-    _multiple_root_candidates rebuilds the repeated root instead, point by
-    point.  alpha_q is the one premise gate of the V_alpha drift: it is set
-    only where Disc < 0 and c < 0, off the band.  ValueError names the
-    first point whose coefficients are not finite or where Disc or its
-    band scale overflows.
+    np.roots would return.  Their real parts get 3 float64 Newton steps,
+    then 5 more; where Disc < 0 off the band only the real eigenvalue is
+    polished.  On the band, _multiple_root_candidates rebuilds the
+    repeated root instead, point by point.  The spectral radius is the
+    largest root modulus after the first 3 steps; where P has a complex
+    pair it is max(|r|, |z|) for the real root r, with |z| from Vieta.
+    alpha_q is the one premise gate of the V_alpha drift: it is set only
+    where Disc < 0 and c < 0, off the band.  ValueError names the first
+    point whose coefficients are not finite or where Disc or its band
+    scale overflows.
     """
     a, b, c = (np.asarray(x, dtype=np.float64) for x in (a, b, c))
     disc = _disc(a, b, c)
@@ -290,30 +260,33 @@ def cubic_reports(a, b, c) -> CubicReports:
     on_band = np.abs(disc) <= BOUNDARY_BAND * scale
 
     n = len(a)
-    re, im = np.zeros((n, 3)), np.zeros((n, 3))
+    x, im = np.zeros((n, 3)), np.zeros((n, 3))
     solve = ~on_band
     for i in np.flatnonzero(on_band):
         roots = _multiple_root_candidates(float(a[i]), float(b[i]), float(c[i]))
         if roots is None:
             solve[i] = True
         else:
-            re[i] = roots.real
-    re[solve], im[solve], real = _companion_roots(a[solve], b[solve], c[solve])
-    idx = np.flatnonzero(solve)
-    r, z = idx[real], idx[~real]
-    if r.size:  # a polish of no rows still costs its numpy calls, most of a one-point report
-        re[r] = _newton(a[r, None], b[r, None], c[r, None], re[r], 3)
-    if z.size:
-        re[z], im[z] = _polish(a[z, None], b[z, None], c[z, None], re[z], im[z], 3)
-    radius = np.hypot(re, im).max(axis=1)
-
-    # Where Disc < 0 off the band P has one real root: polish the root
-    # nearest the real axis; elsewhere polish the real part of all three.
+            x[i] = roots
+    x[solve], im[solve] = _companion_roots(a[solve], b[solve], c[solve])
+    # Where Disc < 0 off the band P has one real root, the eigenvalue with
+    # im == 0: polish only it; elsewhere polish the real part of all three.
     one = ~on_band & (disc < 0.0)
-    nearest = re[np.arange(n), np.argmin(np.abs(im), axis=1)]
-    start = np.where(one[:, None], nearest[:, None], re)
-    polished = _newton(a[:, None], b[:, None], c[:, None], start, 5)
-    roots = np.sort(np.where(on_band[:, None], re, polished), axis=1, kind="stable")
+    real = np.argmin(np.abs(im), axis=1)
+    x = np.where(one[:, None], x[np.arange(n), real, None], x)
+    x[solve] = _newton(a[solve, None], b[solve, None], c[solve, None], x[solve], 3)
+
+    # P's roots are r, z and conj(z) where Disc < 0, and on the band where no
+    # multiple root was rebuilt (a^2 + 3b < 0: P is monotone).  Vieta's
+    # r |z|^2 = c gives |z|, or |z|^2 = -b where r = c = 0.
+    r = x[np.arange(n), real]
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows without a pair
+        pair = np.sqrt(np.where(r == 0.0, -b, c / r))
+    vieta = solve & (on_band | (disc < 0.0))
+    radius = np.where(vieta, np.maximum(np.abs(r), pair), np.abs(x).max(axis=1))
+
+    polished = _newton(a[:, None], b[:, None], c[:, None], x, 5)
+    roots = np.sort(np.where(on_band[:, None], x, polished), axis=1, kind="stable")
     roots[one, 1:] = np.nan
 
     aq = np.where(one & (c < 0.0), -roots[:, 0], np.nan)  # Q(X) = -P(-X): minus P's real root

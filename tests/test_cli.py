@@ -671,6 +671,29 @@ def test_unbounded_range_exits_2(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, equals_form",
+    [
+        ("classify -a 3 -b -2.2 -c -1e-3", "classify -a 3 -b -2.2 -c=-1e-3"),
+        ("classify --coeffs -0.5,0.2", "classify --coeffs=-0.5,0.2"),
+        (
+            "grid --a-values -1,2 --b-range -3:2 --c-range=-3:2 --step 1",
+            "grid --a-values=-1,2 --b-range=-3:2 --c-range=-3:2 --step 1",
+        ),
+    ],
+    ids=["exponent", "number-list", "ranges"],
+)
+def test_negative_value_after_its_flag_reads_as_its_equals_form(argv, equals_form, tmp_path, capsys):
+    # argparse took -1e-3, -0.5,0.2 and -3:2 for flags: "expected one argument", exit 2
+    results = []
+    for text in (argv, equals_form):
+        extra = ["--out", str(tmp_path / "g")] if text.startswith("grid") else []
+        result = run(shlex.split(text) + extra, capsys)
+        results.append((result, sorted((f.name, f.read_bytes()) for f in tmp_path.iterdir())))
+    assert results[0] == results[1]
+    assert results[0][0][0] == 0
+
+
 @pytest.mark.parametrize("command", ["sweep", "ecdf"])
 @pytest.mark.parametrize("values", ["1,1", "0,-0"])
 def test_sweep_repeated_value_exits_2(command, values, tmp_path, capsys):

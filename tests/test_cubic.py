@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -301,7 +302,9 @@ def test_discriminant_overflow_raises_value_error():
 
 # The per-point solve that cubic_reports batches, kept as its oracle: np.roots,
 # then Newton steps in the arithmetic of the roots' own types (3 from each
-# eigenvalue, 5 in Python complex from the real part).
+# eigenvalue, 5 in Python complex from the real part).  Where P has a complex
+# pair, the radius comes from the real root r by Vieta (r |z|^2 = c), with r
+# polished 3 steps in Python floats.
 def _oracle_polish(a, b, c, x, steps):
     for _ in range(steps):
         dp = (3.0 * x - 2.0 * a) * x - b
@@ -326,9 +329,14 @@ def _oracle_report(a, b, c):
         raise ValueError(f"the band scale of Disc overflows at (a, b, c) = ({a}, {b}, {c})")
     on_band = abs(disc) <= BOUNDARY_BAND * scale
     roots = _multiple_root_candidates(a, b, c) if on_band else None
-    if roots is None:
-        roots = np.array([_oracle_polish(a, b, c, z, 3) for z in np.roots([1.0, -a, -b, -c])])
+    solved = roots is None
+    if solved:
+        eigenvalues = np.roots([1.0, -a, -b, -c])
+        roots = np.array([_oracle_polish(a, b, c, z, 3) for z in eigenvalues])
     radius = float(max(abs(z) for z in roots))
+    if solved and (on_band or disc < 0.0):  # one real root and a complex pair
+        r = _oracle_polish(a, b, c, float(min(eigenvalues, key=lambda z: abs(z.imag)).real), 3)
+        radius = max(abs(r), math.sqrt(c / r) if r else math.sqrt(-b))
     if on_band:
         real = sorted(float(z.real) for z in roots)
     elif disc < 0.0:
@@ -344,6 +352,13 @@ def _oracle_report(a, b, c):
     return (a, b, c, disc, on_band, tuple(real), radius, aq, rq, kq)
 
 
+def _near_band_points(rng, n):
+    """P = (X - d)^2 (X - s) for d, s on [-3, 3], with c scaled by 1 +- 10^-u for u on [2, 9]."""
+    d, s, u = rng.uniform(-3, 3, n), rng.uniform(-3, 3, n), rng.uniform(2, 9, n)
+    c = d * d * s * (1.0 + rng.choice([-1.0, 1.0], n) * 10.0**-u)
+    return [(float(x), float(y), float(z)) for x, y, z in zip(2 * d + s, -d * (d + 2 * s), c)]
+
+
 _LATTICE = [-3.0 + i * 0.1 for i in range(51)]  # as grid_values(-3, 2, 0.1) spells it
 
 _ORACLE_SETS = {
@@ -352,6 +367,7 @@ _ORACLE_SETS = {
     + [(a, b, -0.0) for a in (0.5, 1.0, 2.0, 3.0) for b in _LATTICE],
     # (0, -1e-8, 0): on the band with a^2 + 3b < 0, so no multiple root is rebuilt and P is solved
     "band": [(0.0, 3.0, -2.0), (0.0, 0.0, 0.0), (3.0, 0.5, -5.020288049381336), (0.0, -1e-8, 0.0)],
+    "near-band": _near_band_points(np.random.default_rng(22), 10_000),
 }
 
 
@@ -374,3 +390,29 @@ def test_cubic_reports_overflow_matches_per_point_solve(a, b, c):
     with pytest.raises(ValueError) as batch:
         cubic_reports([0.5, a], [-1.0, b], [-3.0, c])  # the first point is fine
     assert str(batch.value) == str(oracle.value)
+
+
+def _exact_radius(a, b, c, r):
+    """max(|r|, |z|) at 50 digits: Newton on the real root from r, then |z| = sqrt(c / r) by Vieta."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c, x = (Decimal(v) for v in (a, b, c, r))
+        step = 1
+        while step and abs(step) > abs(x) * Decimal("1e-48"):
+            step = (((x - a) * x - b) * x - c) / ((3 * x - 2 * a) * x - b)
+            x -= step
+        return max(abs(x), (c / x).sqrt() if x else (-b).sqrt())
+
+
+@pytest.mark.parametrize("name", ["lattice", "random"])
+def test_complex_pair_radius_within_4_ulps_of_exact(name):
+    points = _ORACLE_SETS[name]
+    reports = cubic_reports(*(np.array(col) for col in zip(*points)))
+    checked = 0
+    for i, (a, b, c) in enumerate(points):
+        rep = reports[i]
+        if rep.disc < 0.0 and not rep.on_boundary:
+            exact = _exact_radius(a, b, c, rep.real_roots[0])
+            assert abs(Decimal(rep.spectral_radius) - exact) <= 4 * Decimal(math.ulp(float(exact))), (a, b, c)
+            checked += 1
+    assert checked > 6000
