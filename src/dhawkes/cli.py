@@ -5,7 +5,8 @@ variable (seed only) > --config file > built-in defaults.  A config value
 is read as its flag reads the same number, so a config file and the equal
 flags write the same files and the same echo.  Every command can echo its
 fully resolved configuration to a JSON file; re-ingesting that file
-reproduces the identical run.
+reproduces the identical run.  A grid's cells and a sweep's JSON rows
+reach the writers as a Table, whose columns the writers encode directly.
 
 Exit codes: 0 success, 2 usage or parse error, 3 output I/O error,
 4 flagged numerical anomaly (no clean boundary shell up to --max-radius,
@@ -35,6 +36,7 @@ from .experiments import (
     GridCell,
     SweepRow,
     SweepSpec,
+    Table,
     disc_grid,
     exploding_gallery,
     sweep_explosion,
@@ -283,19 +285,27 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 
     The bytes are csv.writer's (lineterminator "\\n").  Rows are turned into
     text _TABLE_BLOCK at a time, a column at a time: each run of rows of
-    one length is a table whose columns _tokens encodes.
+    one length, or a Table's slice, is a table whose columns _tokens encodes.
     """
-    rows = iter(rows)
     with open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f, lineterminator="\n").writerow(header)
-        while block := list(islice(rows, _TABLE_BLOCK)):
-            lines: list[str] = []
-            for width, run in groupby(block, len):
-                run = list(run)
-                other = functools.partial(_csv_token, lone=width == 1)
-                columns = [_tokens(col, _CSV_TOKENS, other) for col in zip(*run)]
-                lines += map(",".join, zip(*columns)) if width else [""] * len(run)
-            f.write("\n".join(lines) + "\n")
+        for n, columns in _column_runs(rows):
+            other = functools.partial(_csv_token, lone=len(columns) == 1)
+            tokens = [_tokens(col, _CSV_TOKENS, other) for col in columns]
+            f.write("\n".join(map(",".join, zip(*tokens)) if columns else [""] * n) + "\n")
+
+
+def _column_runs(rows: Iterable[Sequence]) -> Iterator[tuple[int, Sequence[Sequence]]]:
+    """Each run of at most _TABLE_BLOCK rows of one length, as (row count, columns)."""
+    if isinstance(rows, Table):
+        for start in range(0, len(rows), _TABLE_BLOCK):
+            yield min(_TABLE_BLOCK, len(rows) - start), rows[start:start + _TABLE_BLOCK].columns
+        return
+    rows = iter(rows)
+    while block := list(islice(rows, _TABLE_BLOCK)):
+        for _, run in groupby(block, len):
+            run = list(run)
+            yield len(run), list(zip(*run))
 
 
 _TABLE_BLOCK = 256  # table rows turned into text per batch, in both writers
@@ -346,9 +356,9 @@ def write_json(obj: object, path: str) -> None:
 
     json.dump runs its pure-Python encoder whenever it indents.  Here json's
     C encoder writes the tokens and this writer lays them out.  A table's
-    rows (flat dicts with the same string keys, or flat lists and tuples
-    of one length) are encoded a column at a time, _TABLE_BLOCK rows at a
-    time, and each row is laid out by one %-template.
+    rows (flat dicts with the same string keys, flat lists and tuples of
+    one length, or a Table's rows, laid out as their `_asdict()`) are encoded
+    a column at a time, _TABLE_BLOCK rows at a time, each by one %-template.
     """
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(_json_chunks(obj, "\n"))
@@ -356,7 +366,7 @@ def write_json(obj: object, path: str) -> None:
 
 
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))  # float.__repr__ of the values JSON spells otherwise
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, Table)
 # Tokens of a column whose values are all of one of these exact types, faster than the encoder.
 _JSON_TOKENS = {
     str: encode_basestring_ascii,
@@ -385,31 +395,33 @@ def _json_column(values: list) -> list[str] | None:
 def _json_rows(block: Sequence, inner: str) -> Iterator[str] | None:
     """Each item's text where block is a table, None for any other block; inner starts the items' lines.
 
-    A table's items are dicts with one set of string keys, or lists and
-    tuples of one length, and hold no container.
+    A table's items are dicts with one set of string keys, lists and
+    tuples of one length, or a Table's rows, and hold no container.
     """
-    first = block[0]
-    kinds = set(map(type, block))
-    if not (kinds == {dict} or kinds <= {list, tuple}) or set(map(len, block)) != {len(first)} or not first:
-        return None
-    if type(first) is dict:
-        if not all(type(k) is str for k in first):
-            return None
-        keys = sorted(first)
-        labels = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
-        brackets = "{}"
+    if isinstance(block, Table):
+        columns = dict(zip(block.row._fields, block.columns))
     else:
-        keys = range(len(first))
-        labels = [""] * len(first)
-        brackets = "[]"
+        first = block[0]
+        kinds = set(map(type, block))
+        if not (kinds == {dict} or kinds <= {list, tuple}) or set(map(len, block)) != {len(first)} or not first:
+            return None
+        if type(first) is dict and not all(type(k) is str for k in first):
+            return None
+        try:
+            columns = {k: list(map(itemgetter(k), block)) for k in (first if kinds == {dict} else range(len(first)))}
+        except KeyError:  # a row with other keys
+            return None
+    keys = sorted(columns)
+    brackets = "{}" if type(keys[0]) is str else "[]"
+    labels = [encode_basestring_ascii(k).replace("%", "%%") + ": " if brackets == "{}" else "" for k in keys]
     try:
-        columns = [_json_column(list(map(itemgetter(k), block))) for k in keys]
-    except (KeyError, TypeError):  # a row with other keys; a value json rejects, left to
-        return None  # the item-by-item path, which raises json's error in json's order
-    if None in columns:
+        tokens = [_json_column(columns[k]) for k in keys]
+    except TypeError:  # a value json rejects, left to the item-by-item
+        return None  # path, which raises json's error in json's order
+    if None in tokens:
         return None
     row = inner + brackets[0] + ",".join(f"{inner}  {label}%s" for label in labels) + inner + brackets[1]
-    return map(row.__mod__, zip(*columns))
+    return map(row.__mod__, zip(*tokens))
 
 
 def _json_chunks(o: object, nl: str) -> Iterator[str]:
@@ -418,10 +430,10 @@ def _json_chunks(o: object, nl: str) -> Iterator[str]:
     A container that holds no container is one encoder call whose item
     separator starts each line (json escapes every newline in a string).
     """
-    items = o.values() if isinstance(o, dict) else o if isinstance(o, (list, tuple)) else ()
+    items = o.values() if isinstance(o, dict) else o if isinstance(o, _CONTAINERS) else ()
     inner = nl + "  "
-    if not items:  # a scalar, {} or []; json's TypeError for anything else
-        yield _json_encoder(",")(o)
+    if not items:  # a scalar, {}, [] or an empty Table; json's TypeError for anything else
+        yield "[]" if isinstance(o, Table) else _json_encoder(",")(o)
     elif not any(isinstance(v, _CONTAINERS) for v in items):
         text = _json_encoder("," + inner)(o)
         yield text[0] + inner + text[1:-1] + nl + text[-1]
@@ -436,15 +448,11 @@ def _json_chunks(o: object, nl: str) -> Iterator[str]:
         sep = "["
         for start in range(0, len(o), _TABLE_BLOCK):
             block = o[start:start + _TABLE_BLOCK]
-            rows = _json_rows(block, inner) or (inner + "".join(_json_chunks(item, inner)) for item in block)
+            items = map(o.row._asdict, block) if isinstance(o, Table) else block
+            rows = _json_rows(block, inner) or (inner + "".join(_json_chunks(item, inner)) for item in items)
             yield sep + ",".join(rows)
             sep = ","
         yield nl + "]"
-
-
-def _mirror(rows: Sequence[tuple]) -> list[dict]:
-    """JSON rows of a CSV table of NamedTuple records: one object per row, keyed by field."""
-    return [row._asdict() for row in rows]
 
 
 def _sweep_json(spec: SweepSpec, rows: list[SweepRow]) -> dict:
@@ -457,7 +465,7 @@ def _sweep_json(spec: SweepSpec, rows: list[SweepRow]) -> dict:
         "horizon": spec.sim.horizon_n,
         "explosion_threshold": spec.sim.explosion_threshold_m,
         "master_seed": spec.sim.master_seed,
-        "rows": _mirror(rows),
+        "rows": Table(SweepRow, list(zip(*rows)) or [()] * len(SweepRow._fields)),
     }
 
 
@@ -627,7 +635,7 @@ def cmd_grid(merged: dict) -> int:
     cells = disc_grid(merged["a_values"], merged["b_range"], merged["c_range"], merged["step"], merged["lam"])
     base = (merged["out"] or "grid").removesuffix(".csv")
     write_csv(base + ".csv", GridCell._fields, cells)
-    write_json({"cells": _mirror(cells)}, base + ".json")
+    write_json({"cells": cells}, base + ".json")
     print(f"grid: {len(cells)} cells -> {base}.csv")
     return EXIT_OK
 

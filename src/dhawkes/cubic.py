@@ -239,11 +239,12 @@ def cubic_reports(a, b, c) -> CubicReports:
     Disc, the band and the roots are computed for all points at once.  The
     companion eigenvalues (one np.linalg.eigvals call) are the roots
     np.roots would return.  Their real parts get 3 float64 Newton steps,
-    then 5 more; where Disc < 0 off the band only the real eigenvalue is
+    then 5 more; where P has a complex pair only the real eigenvalue is
     polished.  On the band, _multiple_root_candidates rebuilds the
-    repeated root instead, point by point.  The spectral radius is the
-    largest root modulus after the first 3 steps; where P has a complex
-    pair it is max(|r|, |z|) for the real root r, with |z| from Vieta.
+    repeated root instead, point by point, or where there is none (P is
+    monotone) reports the one real root r after 3 steps.  The spectral
+    radius is the largest root modulus after the first 3 steps; where P
+    has a complex pair it is max(|r|, |z|), with |z| from Vieta.
     alpha_q is the one premise gate of the V_alpha drift: it is set only
     where Disc < 0 and c < 0, off the band.  ValueError names the first
     point whose coefficients are not finite or where Disc or its band
@@ -269,27 +270,24 @@ def cubic_reports(a, b, c) -> CubicReports:
         else:
             x[i] = roots
     x[solve], im[solve] = _companion_roots(a[solve], b[solve], c[solve])
-    # Where Disc < 0 off the band P has one real root, the eigenvalue with
-    # im == 0: polish only it; elsewhere polish the real part of all three.
-    one = ~on_band & (disc < 0.0)
-    real = np.argmin(np.abs(im), axis=1)
-    x = np.where(one[:, None], x[np.arange(n), real, None], x)
+    # P has one real root r and a pair z, conj(z) where Disc < 0 off the band, and on
+    # the band where no multiple root was rebuilt (a^2 + 3b < 0: P is monotone).  There
+    # only r, the eigenvalue with im == 0, is polished; elsewhere all three real parts are.
+    one = solve & (on_band | (disc < 0.0))
+    x = np.where(one[:, None], x[np.arange(n), np.argmin(np.abs(im), axis=1), None], x)
     x[solve] = _newton(a[solve, None], b[solve, None], c[solve, None], x[solve], 3)
 
-    # P's roots are r, z and conj(z) where Disc < 0, and on the band where no
-    # multiple root was rebuilt (a^2 + 3b < 0: P is monotone).  Vieta's
-    # r |z|^2 = c gives |z|, or |z|^2 = -b where r = c = 0.
-    r = x[np.arange(n), real]
+    # Vieta's r |z|^2 = c gives |z|, or |z|^2 = -b where r = c = 0.
+    r = x[:, 0]  # where one, every column holds r
     with np.errstate(divide="ignore", invalid="ignore"):  # rows without a pair
         pair = np.sqrt(np.where(r == 0.0, -b, c / r))
-    vieta = solve & (on_band | (disc < 0.0))
-    radius = np.where(vieta, np.maximum(np.abs(r), pair), np.abs(x).max(axis=1))
+    radius = np.where(one, np.maximum(np.abs(r), pair), np.abs(x).max(axis=1))
 
     polished = _newton(a[:, None], b[:, None], c[:, None], x, 5)
     roots = np.sort(np.where(on_band[:, None], x, polished), axis=1, kind="stable")
     roots[one, 1:] = np.nan
 
-    aq = np.where(one & (c < 0.0), -roots[:, 0], np.nan)  # Q(X) = -P(-X): minus P's real root
+    aq = np.where(one & ~on_band & (c < 0.0), -roots[:, 0], np.nan)  # Q(X) = -P(-X): minus P's real root
     return CubicReports(
         a=a,
         b=b,

@@ -9,7 +9,8 @@ them in submission order, which is replica order.  A sweep command
 (`sweep_explosion`, `tau_cdf_experiment`) opens one pool and queues the
 batches of every point on it at once; when a point raises, the batches
 still queued are cancelled.  The pool is closed before the command
-returns or raises.
+returns or raises.  `disc_grid` returns its cells as a `Table`, columns
+of Python scalars that build a GridCell only where one is read.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
@@ -331,20 +332,36 @@ class GridCell(NamedTuple):
     rule: str
 
 
+class Table(Sequence):
+    """Rows of the NamedTuple type `row` held as its columns, sequences of one length: a
+    row is built only where one is indexed or iterated, and a slice is a Table."""
+
+    def __init__(self, row: type, columns: Sequence[Sequence]) -> None:
+        self.row, self.columns = row, columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Table(self.row, [col[i] for col in self.columns])
+        return self.row._make([col[i] for col in self.columns])
+
+
 def disc_grid(
     a_values: list[float],
     b_range: tuple[float, float],
     c_range: tuple[float, float],
     step: float,
     lam: float = 1.0,
-) -> list[GridCell]:
+) -> Table:
     """Sign of the discriminant, linear stability and fired rule per grid cell.
 
     Cells are row-major over (a, b, c), c varying fastest.  Each cell
     carries classify's label of its point and the disc and linear
     stability of that label's cubic witness; classify_p3 decides them
-    GRID_CHUNK cells at a time.  ValueError where the grid has more than
-    MAX_GRID_POINTS cells.
+    GRID_CHUNK cells at a time, into a Table of GridCell rows whose columns
+    are lists of Python scalars.  ValueError past MAX_GRID_POINTS cells.
     """
     shape = (len(a_values), grid_count(*b_range, step), grid_count(*c_range, step))
     n = math.prod(shape)
@@ -353,21 +370,14 @@ def disc_grid(
     axes = [np.array(a_values, dtype=np.float64)] + [
         np.array(grid_values(*r, step)) for r in (b_range, c_range)
     ]
-    cells: list[GridCell] = []
+    columns: list[list] = [[] for _ in GridCell._fields]
     for start in range(0, n, GRID_CHUNK):
         index = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, n)), shape)
         a, b, c = (axis[i] for axis, i in zip(axes, index))
         labels = classify_p3(a, b, c, lam)
         disc = labels.reports.disc.tolist()
-        cells += map(
-            GridCell,
-            a.tolist(),
-            b.tolist(),
-            c.tolist(),
-            disc,
-            [(d > 0) - (d < 0) for d in disc],
-            (labels.reports.spectral_radius < 1.0).tolist(),
-            [v.value for v in labels.verdicts],
-            labels.rules,
-        )
-    return cells
+        chunk = (a.tolist(), b.tolist(), c.tolist(), disc, [(d > 0) - (d < 0) for d in disc],
+                 (labels.reports.spectral_radius < 1.0).tolist(), [v.value for v in labels.verdicts], labels.rules)
+        for column, values in zip(columns, chunk):
+            column += values
+    return Table(GridCell, columns)

@@ -32,9 +32,11 @@ guard (1e300), by a state whose intensity sum leaves float64's range,
 or by entering the growth cone of one of the classifier's growth rules
 (nonnegative coefficients summing above 1, any p; the oscillating and
 axes rules, p = 3), from which the chain leaves the growth pattern with
-probability at most 1e-18.  Following the usual convention
-the recorded length of an exploded excursion is horizon + 1, a sentinel
-one past the censoring value.
+probability at most 1e-18.  Following the usual convention the recorded
+length of an exploded excursion is horizon + 1, a sentinel one past the
+censoring value.  An excursion run raises ValueError where lam, or the
+stationary mean lam / (1 - S+) of positive parts S+ < 1, passes 1e-10
+of the guard: there the baseline alone would "certify escape".
 
 Poisson means above 1e18 are drawn as floor(s + sqrt(s) Z) in float64
 (numpy's sampler refuses means above ~9.2e18), so the counts of a burst
@@ -337,15 +339,18 @@ def _plan(params: Params, cfg: SimConfig) -> tuple:
     `step` from the start.  Each thread keeps the plan of the last pair it
     was asked for in `_THREAD.plan`, matched by identity, so a batch builds
     it once.  The plan holds both objects, so no other object can take
-    their identities while it is kept.
+    their identities while it is kept.  ValueError past the baseline limit.
     """
     plan = getattr(_THREAD, "plan", _NO_PLAN)
     if plan[0] is params and plan[1] is cfg:
         return plan
+    lam, s = params.lam, params.positive_sum
+    if lam > 1e-10 * OVERFLOW_GUARD or (s < 1.0 and lam / (1.0 - s) > 1e-10 * OVERFLOW_GUARD):
+        raise ValueError(f"lam={lam:g}: the baseline alone would reach counts within 1e10 of OVERFLOW_GUARD")
     state0, m = _initial(params, cfg), cfg.explosion_threshold_m
     top = max(m, *state0)  # no count met below the threshold is larger
-    loop = None if params.lam + params.positive_sum * top > NORMAL_SWITCH else _excursion_loop(params.p)
-    plan = _THREAD.plan = (params, cfg, state0, loop, params.lam, m, cfg.horizon_n)
+    loop = None if lam + s * top > NORMAL_SWITCH else _excursion_loop(params.p)
+    plan = _THREAD.plan = (params, cfg, state0, loop, lam, m, cfg.horizon_n)
     return plan
 
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -8,13 +9,15 @@ import re
 import shlex
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from dhawkes import cli, cubic
 from dhawkes.cli import build_parser, main, write_csv, write_json
-from dhawkes.experiments import SweepSpec, sweep_explosion
+from dhawkes.classify import classify_p3, grid_values
+from dhawkes.experiments import GridCell, SweepRow, SweepSpec, Table, sweep_explosion
 from dhawkes.model import Params, intensity
 from dhawkes.simulate import SimConfig
 
@@ -37,6 +40,15 @@ def test_classify_oscillating_point(capsys):
     code, out, _ = run(["classify", "-p", "3", "-a", "-1", "-b", "1.1", "-c", "0.5"], capsys)
     assert code == 0
     assert "verdict=TransientOscillating" in out
+
+
+@pytest.mark.parametrize("argv, root", [(["-a", "0", "-b=-1e-8", "-c", "0"], "0.0"),
+                                        (["-a", "0.001", "-b=-1e-6", "-c", "1e-12"], "1.001001e-06")])
+def test_classify_monotone_band_point_prints_one_real_root(argv, root, capsys):
+    # on the Disc = 0 band with a^2 + 3b < 0: one real root, not the complex pair's real parts
+    code, out, _ = run(["classify", *argv], capsys)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("real_roots=")] == [f"real_roots=[{root}]"]
 
 
 def test_classify_p2(capsys):
@@ -118,6 +130,26 @@ def test_sweep_jobs_below_one_exits_2(jobs, capsys):
     assert code == 2
     assert out == ""
     assert "jobs must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--fix", "a=0.5,c=0", "--sweep", "b=0", "--lam", "1e300", "--replicas", "20", "--jobs", "1"],
+        ["sweep", "--fix", "a=0.5,c=0", "--sweep", "b=0", "--lam", "6e299", "--replicas", "20", "--jobs", "1"],
+        ["ecdf", "--fix", "a=0.5,c=0", "--sweep", "b=0", "--lam", "6e299", "--replicas", "300", "--jobs", "2"],
+        ["gallery", "-a", "0.5", "-b", "0", "-c", "0", "--lam", "1e300", "--want", "1"],
+    ],
+    ids=["sweep-lam", "sweep-stationary-mean", "ecdf-pooled", "gallery"],
+)
+def test_baseline_reaching_the_overflow_guard_exits_2(argv, tmp_path, capsys):
+    # classify calls (0.5, 0, 0) ergodic; its counts used to pass 1e300 and "certify escape"
+    _, out, _ = run(["classify", "-a", "0.5", "-b", "0", "-c", "0", "--lam", "1e300"], capsys)
+    assert "verdict=ErgodicGeneralP" in out
+    code, out, err = run(argv + ["--horizon", "50", "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "baseline alone" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gallery_cap_zero_exits_2(tmp_path, capsys):
@@ -837,8 +869,15 @@ def test_readme_cli_examples_parse():
             pytest.fail(f"README line does not parse: {line}")
 
 
+def _rows(table):
+    """json.dumps' default: a Table is the list of its rows' objects."""
+    if not isinstance(table, Table):
+        raise TypeError(f"Object of type {type(table).__name__} is not JSON serializable")
+    return [row._asdict() for row in table]
+
+
 def _oracle(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=_rows) + "\n"
 
 
 class _Str(str):
@@ -932,6 +971,77 @@ def test_writers_match_csv_writer_and_json_dumps(header, rows, tmp_path):
     write_json(obj, str(tmp_path / "t.json"))
     lines = (tmp_path / "t.json").read_bytes().decode("utf-8").splitlines(True)
     assert lines == _oracle(obj).splitlines(True)
+
+
+def _grid_rows(a_values, lo, hi, step):
+    """The grid's cells as a list of GridCell rows, one per cell, from one classify_p3 call over the whole grid."""
+    a, b, c = (np.array(v) for v in zip(*itertools.product(a_values, grid_values(lo, hi, step), grid_values(lo, hi, step))))
+    labels = classify_p3(a, b, c, 1.0)
+    disc = labels.reports.disc.tolist()
+    return list(map(GridCell, a.tolist(), b.tolist(), c.tolist(), disc, [(d > 0) - (d < 0) for d in disc],
+                    (labels.reports.spectral_radius < 1.0).tolist(), [v.value for v in labels.verdicts], labels.rules))
+
+
+@pytest.mark.parametrize("a_values, lo, hi, step", [
+    ((0.5, 1.0, 2.0, 3.0), -3.0, 2.0, 0.1),  # the analytics grid of the benchmark
+    ((0.5, 1.0, 3.0), -1.0, 0.5, 0.5),
+    ((0.5,), -1.0, -1.0, 0.5),  # one cell
+], ids=["analytics", "small", "one-cell"])
+def test_grid_files_match_csv_writer_and_json_dumps_of_grid_cells(a_values, lo, hi, step, tmp_path, capsys):
+    code, _, err = run(["grid", "--a-values", ",".join(map(str, a_values)), f"--b-range={lo}:{hi}",
+                        f"--c-range={lo}:{hi}", "--step", str(step), "--out", str(tmp_path / "g")], capsys)
+    assert code == 0, err
+    rows = _grid_rows(a_values, lo, hi, step)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(GridCell._fields)
+    writer.writerows([_rule(v) for v in row] for row in rows)
+    _same_text((tmp_path / "g.csv").read_bytes().decode("utf-8"), expected.getvalue())
+    want = json.dumps({"cells": [cell._asdict() for cell in rows]}, indent=2, sort_keys=True) + "\n"
+    _same_text((tmp_path / "g.json").read_bytes().decode("utf-8"), want)
+
+
+def _same_text(got: str, want: str) -> None:
+    """Fail at the first line where got and want differ: pytest's diff of a long text takes minutes."""
+    if got != want:
+        pairs = enumerate(itertools.zip_longest(got.splitlines(True), want.splitlines(True)), start=1)
+        line, (g, w) = next((n, pair) for n, pair in pairs if pair[0] != pair[1])
+        pytest.fail(f"line {line}: got {g!r}, want {w!r}")
+
+
+class _Pair(NamedTuple):
+    key: str
+    value: object
+
+
+@pytest.mark.parametrize("n", [0, 1, 256, 257, 600])
+def test_writers_lay_out_a_table_as_its_rows(n, tmp_path):
+    # a Table writes its rows' bytes: CSV as the rows themselves, JSON as their _asdict() objects
+    rows = [SweepRow(0.5, 1, 2, 0.5, 0.01, 0.99, None, 0), SweepRow(-0.0, 0, 2, 0.0, 0.0, 0.9, 1.5, 2),
+            SweepRow(math.inf, 2**70, 2, math.nan, 0.0, 1.0, 2.5, 0)] * 200
+    rows = rows[:n]
+    table = Table(SweepRow, list(zip(*rows)) or [()] * len(SweepRow._fields))
+    write_csv(str(tmp_path / "t.csv"), SweepRow._fields, table)
+    write_csv(str(tmp_path / "r.csv"), SweepRow._fields, rows)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+    as_dicts = [row._asdict() for row in rows]
+    write_json({"rows": table, "nested": [table, {"t": table}]}, str(tmp_path / "t.json"))
+    want = json.dumps({"rows": as_dicts, "nested": [as_dicts, {"t": as_dicts}]}, indent=2, sort_keys=True) + "\n"
+    _same_text((tmp_path / "t.json").read_text(encoding="utf-8"), want)
+
+
+def test_write_json_table_of_containers_and_rejected_values(tmp_path):
+    # a column json's C encoder cannot take whole goes item by item, each row as its _asdict()
+    table = Table(_Pair, [["x", "y", "z"], [[1, (2,)], {"k": []}, None]])
+    write_json({"t": table}, str(tmp_path / "t.json"))
+    want = json.dumps({"t": [row._asdict() for row in table]}, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "t.json").read_text(encoding="utf-8") == want
+    bad = Table(_Pair, [["x", "y"], [1, object()]])
+    with pytest.raises(TypeError) as expected:
+        json.dumps([row._asdict() for row in bad], indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        write_json([bad], str(tmp_path / "bad.json"))
+    assert str(got.value) == str(expected.value)
 
 
 def test_every_command_mirror_matches_json_dumps(tmp_path, capsys, monkeypatch):

@@ -284,6 +284,17 @@ def test_band_points_are_on_boundary():
     assert not cubic_report(2.5, -1.0, -3.0).on_boundary
 
 
+@pytest.mark.parametrize("a, b, c, root", [(0.0, -1e-8, 0.0, 0.0), (0.001, -1e-6, 1e-12, 1.001000999995986e-06)])
+def test_monotone_band_point_reports_its_one_real_root(a, b, c, root):
+    # a^2 + 3b < 0: P is monotone, so no multiple root is rebuilt and the other two roots are a complex pair
+    rep = cubic_report(a, b, c)
+    assert rep.on_boundary and a * a + 3.0 * b < 0.0
+    assert rep.real_roots == (root,)
+    assert abs(p_eval(a, b, c, root)) <= 1e-20
+    # the root Vieta's radius takes: r |z|^2 = c, or |z|^2 = -b where r = c = 0
+    assert rep.spectral_radius == max(abs(root), math.sqrt(c / root) if root else math.sqrt(-b))
+
+
 @pytest.mark.parametrize("a, b, c", [(1e300, 0.0, 0.0), (1e120, -1.0, -1.0), (1.0, 1e200, 1.0)])
 def test_cubic_report_overflow_raises_value_error(a, b, c):
     with pytest.raises(ValueError, match="overflows"):
@@ -337,8 +348,10 @@ def _oracle_report(a, b, c):
     if solved and (on_band or disc < 0.0):  # one real root and a complex pair
         r = _oracle_polish(a, b, c, float(min(eigenvalues, key=lambda z: abs(z.imag)).real), 3)
         radius = max(abs(r), math.sqrt(c / r) if r else math.sqrt(-b))
-    if on_band:
+    if on_band and not solved:
         real = sorted(float(z.real) for z in roots)
+    elif on_band:  # P is monotone: its one real root, the r of the radius
+        real = [r]
     elif disc < 0.0:
         z = min(roots, key=lambda r: abs(r.imag))
         real = [float(_oracle_polish(a, b, c, complex(z.real, 0.0), 5).real)]

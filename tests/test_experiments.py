@@ -2,6 +2,7 @@ import inspect
 import multiprocessing
 import os
 import sys
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 
 from dhawkes import experiments, simulate
 from dhawkes.experiments import (
+    GridCell,
     SweepSpec,
     derive_point_seed,
     disc_grid,
@@ -412,6 +414,22 @@ def test_disc_grid_cells_match_scalar_classify_on_edge_cells():
         assert [type(getattr(cell, f)) for f in ("a", "b", "c", "disc", "disc_sign", "linear_stable")] == [
             float, float, float, float, int, bool
         ]
+
+
+def test_disc_grid_is_a_read_only_sequence_of_grid_cells():
+    cells = disc_grid([0.5, 3.0], (-1.5, 1.0), (-1.0, 0.5), 0.5)
+    assert isinstance(cells, Sequence) and len(cells) == 2 * 6 * 4
+    listed = list(cells)
+    assert [cells[i] for i in range(len(cells))] == listed
+    assert cells[-1] == listed[-1] == GridCell(3.0, 1.0, 0.5, *listed[-1][3:])
+    assert type(cells[0]) is GridCell and type(listed[1]) is GridCell
+    assert list(cells[5:9]) == listed[5:9] and len(cells[::7]) == len(listed[::7])
+    for cell in (cells[0], cells[-1], listed[10]):
+        assert [type(v) for v in cell] == [float, float, float, float, int, bool, str, str]
+    with pytest.raises(IndexError):
+        cells[len(cells)]
+    with pytest.raises(TypeError):
+        cells[0] = cells[1]
 
 
 def test_disc_grid_refuses_more_than_max_grid_points():

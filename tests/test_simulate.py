@@ -381,6 +381,32 @@ def test_cone_past_overflow_guard_leaves_the_count_guard():
     # at lam = 1 the same coefficients have a cone, at about 3.1e26
     rule, level = _cone(Params.p3(1.0, 2.0, -2.0 - 2e-12, lam=1.0))
     assert rule is Verdict.TRANSIENT_OSCILLATING and 3e26 < level < 3.2e26
+    # lam = 1e290 is at the baseline limit, not past it, so excursions still run
+    assert run_excursion(params, SimConfig(horizon_n=200), 0).kind is ExcursionKind.EXPLODED
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        Params.p3(0.5, 0.0, 0.0, lam=1e300),  # past 1e-10 OVERFLOW_GUARD by lam alone
+        Params.p3(3.0, 1.0, -15.0, lam=2e290),  # the same, with positive parts summing to 4
+        Params.p3(0.5, 0.0, 0.0, lam=6e299),  # stationary mean lam / (1 - 0.5) = 1.2e300
+        Params.p3(0.5, 0.0, 0.0, lam=5.1e289),  # stationary mean 1.02e290
+    ],
+    ids=["lam", "lam-growth", "mean", "mean-at-limit"],
+)
+def test_excursions_refuse_a_baseline_that_reaches_the_overflow_guard(params):
+    # the counts of the baseline alone would pass OVERFLOW_GUARD and "certify escape"
+    with pytest.raises(ValueError, match="baseline alone"):
+        run_excursion(params, SimConfig(horizon_n=50), 0)
+    with pytest.raises(ValueError, match="baseline alone"):
+        simulate._outcomes(params, SimConfig(horizon_n=50, initial_state=(1, 0, 0)), 0, 10)
+
+
+def test_excursions_run_where_the_stationary_mean_is_below_the_limit():
+    params = Params.p3(0.5, 0.0, 0.0, lam=4.9e289)  # stationary mean 9.8e289 < 1e290
+    outcomes = [run_excursion(params, SimConfig(horizon_n=50), r).kind for r in range(20)]
+    assert outcomes == [ExcursionKind.CENSORED] * 20
 
 
 @pytest.mark.parametrize(
