@@ -3,7 +3,8 @@
 Rules are checked in a fixed priority order, strongest first, and the
 rule that fired is reported alongside the verdict.  Every rule predicate
 works on arrays, one entry per point, so `classify_p3` decides a whole
-grid in one pass and `classify` is the one-point case at any p.  Proven
+grid in one pass, `classify` is the one-point case at any p, and
+`growth_rule` is the same decision without the cubic rules.  Proven
 ergodic and proven transient regions never overlap; if both kinds of
 rule match a point, the classifier raises instead of silently picking
 one, since that means a rule predicate is wrong.
@@ -44,14 +45,11 @@ class Verdict(enum.Enum):
 ERGODIC_VERDICTS = frozenset(
     {Verdict.ERGODIC_GENERAL_P, Verdict.ERGODIC_DISC_NEGATIVE, Verdict.ERGODIC_P2_REGION}
 )
-TRANSIENT_VERDICTS = frozenset(
-    {
-        Verdict.TRANSIENT_AXES,
-        Verdict.TRANSIENT_OSCILLATING,
-        Verdict.TRANSIENT_LINEAR,
-        Verdict.TRANSIENT_P2_REGION,
-    }
+# The transience rules that force geometric growth: simulate._cone has an escape cone for each.
+GROWTH_VERDICTS = frozenset(
+    {Verdict.TRANSIENT_AXES, Verdict.TRANSIENT_OSCILLATING, Verdict.TRANSIENT_LINEAR}
 )
+TRANSIENT_VERDICTS = GROWTH_VERDICTS | {Verdict.TRANSIENT_P2_REGION}
 
 
 @dataclass(frozen=True)
@@ -112,43 +110,13 @@ def _p3(pred):
 
 
 def _cubic(pred):
-    """A rule predicate on the p = 3 cubic reports; it never matches at other p."""
+    """A rule predicate on the p = 3 cubic reports; it never matches without them."""
     return lambda x: pred(x.rep) if x.rep is not None else np.zeros_like(x.nonneg)
 
 
 def _c_disc_negative(rep: CubicReports) -> np.ndarray:
     """c < 0, and Disc < 0 safely outside the boundary band."""
     return _lt(rep.c, 0.0) & (rep.disc < 0.0) & ~rep.on_boundary
-
-
-def _linear(x: _Points) -> np.ndarray:
-    return x.nonneg & _gt(x.total, 1.0)
-
-
-_oscillating = _p3(lambda a, b, c: _gt(b, 1.0) & _lt(a * b + c, 0.0))
-_axes = _p3(lambda a, b, c: _lt(a, 0.0) & _lt(b, 0.0) & _gt(c, 1.0))
-
-# The transience rules that force geometric growth, and what growth_rule reads.
-_GROWTH = (
-    (Verdict.TRANSIENT_LINEAR, _linear),
-    (Verdict.TRANSIENT_OSCILLATING, _oscillating),
-    (Verdict.TRANSIENT_AXES, _axes),
-)
-
-
-def growth_rule(params: Params) -> Verdict | None:
-    """The transience rule that forces geometric growth, or None.
-
-    TRANSIENT_LINEAR (any p: all coefficients >= 0 and sum > 1) grows the
-    minimum of the window; TRANSIENT_OSCILLATING and TRANSIENT_AXES (p = 3)
-    grow along a cycle of states.  The three exclude each other and no
-    rule of higher priority matches alongside them, so where this returns
-    a verdict `classify` returns the same one.  It computes no
-    discriminant, so it cannot overflow.
-    """
-    x = _points([np.array([v]) for v in params.coeffs], cubic=False)
-    with np.errstate(over="ignore", invalid="ignore"):  # the oscillating rule's ab + c may overflow
-        return next((verdict for verdict, pred in _GROWTH if pred(x)[0]), None)
 
 
 # (verdict, predicate, rule text), strongest first; the first rule that
@@ -158,7 +126,7 @@ def growth_rule(params: Params) -> Verdict | None:
 _RULES = (
     (Verdict.ERGODIC_GENERAL_P, lambda x: _lt(x.pos, 1.0),
      "ergodic: sum of positive parts {pos:.6g} < 1"),
-    (Verdict.TRANSIENT_LINEAR, _linear,
+    (Verdict.TRANSIENT_LINEAR, lambda x: x.nonneg & _gt(x.total, 1.0),
      "transient: all coefficients >= 0 and sum {total:.6g} > 1"),
     (Verdict.UNKNOWN, lambda x: np.full(len(x.pos), len(x.cols) != 3),
      "no rule applies (cubic rules need p=3)"),
@@ -166,9 +134,9 @@ _RULES = (
      "Disc within the zero-surface band; discriminant-based rules withheld"),
     (Verdict.ERGODIC_DISC_NEGATIVE, _cubic(lambda r: _lt(r.b, 0.0) & _c_disc_negative(r)),
      "ergodic: b < 0, c < 0 and Disc < 0"),
-    (Verdict.TRANSIENT_AXES, _axes,
+    (Verdict.TRANSIENT_AXES, _p3(lambda a, b, c: _lt(a, 0.0) & _lt(b, 0.0) & _gt(c, 1.0)),
      "transient: a < 0, b < 0, c > 1 (axis cycling)"),
-    (Verdict.TRANSIENT_OSCILLATING, _oscillating,
+    (Verdict.TRANSIENT_OSCILLATING, _p3(lambda a, b, c: _gt(b, 1.0) & _lt(a * b + c, 0.0)),
      "transient: b > 1 and ab + c < 0 (period-2 growth)"),
     (Verdict.ERGODIC_P2_REGION, _cubic(lambda r: (np.abs(r.c) <= TOL) & _lt(r.b, b_star(r.a))),
      "memory-2 reduction (c = 0): b < b*(a)"),
@@ -240,6 +208,24 @@ def classify(params: Params) -> RegionLabel:
     is one point of classify_p3's batched decision; the p = 3 witness is its cubic report.
     """
     return _labels([[x] for x in params.coeffs], params.lam)[0]
+
+
+def growth_rule(params: Params) -> Verdict | None:
+    """The transience rule that forces geometric growth, or None.
+
+    TRANSIENT_LINEAR (any p: all coefficients >= 0 and sum > 1) grows the
+    minimum of the window; TRANSIENT_OSCILLATING and TRANSIENT_AXES (p = 3)
+    grow along a cycle of states.  This is _decide's verdict on the
+    coefficients alone, which is classify's wherever it is one of these
+    three: no cubic rule matches without a report, and the two ahead of
+    them (Boundary: c < 0, b <= 1; ErgodicDiscNegative: b < 0, c < 0)
+    never hold where they do.  No discriminant is computed, so nothing
+    can overflow.
+    """
+    x = _points([np.array([v]) for v in params.coeffs], cubic=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # the oscillating rule's ab + c may overflow
+        verdict = _RULES[_decide(x, params.lam)[0]][0]
+    return verdict if verdict in GROWTH_VERDICTS else None
 
 
 def grid_count(start: float, stop: float, step: float) -> int:

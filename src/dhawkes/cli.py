@@ -26,7 +26,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict
 from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from types import SimpleNamespace
 
 from .classify import classify, grid_values
@@ -356,9 +355,9 @@ def write_json(obj: object, path: str) -> None:
 
     json.dump runs its pure-Python encoder whenever it indents.  Here json's
     C encoder writes the tokens and this writer lays them out.  A table's
-    rows (flat dicts with the same string keys, flat lists and tuples of
-    one length, or a Table's rows, laid out as their `_asdict()`) are encoded
-    a column at a time, _TABLE_BLOCK rows at a time, each by one %-template.
+    rows (a Table's rows, laid out as their `_asdict()`, or flat lists and
+    tuples of one length) are encoded a column at a time, _TABLE_BLOCK rows
+    at a time, each by one %-template; any other list goes item by item.
     """
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(_json_chunks(obj, "\n"))
@@ -382,7 +381,7 @@ def _json_encoder(sep: str) -> Callable[[object], str]:
     return json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
 
 
-def _json_column(values: list) -> list[str] | None:
+def _json_column(values: Sequence) -> list[str] | None:
     """The tokens of one table column; None if a value is a container."""
     tokens = _tokens(values, _JSON_TOKENS, None)
     if tokens is not None and (type(values[0]) is not float or _NON_FINITE.isdisjoint(tokens)):
@@ -395,22 +394,15 @@ def _json_column(values: list) -> list[str] | None:
 def _json_rows(block: Sequence, inner: str) -> Iterator[str] | None:
     """Each item's text where block is a table, None for any other block; inner starts the items' lines.
 
-    A table's items are dicts with one set of string keys, lists and
-    tuples of one length, or a Table's rows, and hold no container.
+    A table's items are a Table's rows, or lists and tuples of one
+    length, and hold no container.
     """
     if isinstance(block, Table):
         columns = dict(zip(block.row._fields, block.columns))
+    elif set(map(type, block)) <= {list, tuple} and set(map(len, block)) == {len(block[0])} and block[0]:
+        columns = dict(enumerate(zip(*block)))
     else:
-        first = block[0]
-        kinds = set(map(type, block))
-        if not (kinds == {dict} or kinds <= {list, tuple}) or set(map(len, block)) != {len(first)} or not first:
-            return None
-        if type(first) is dict and not all(type(k) is str for k in first):
-            return None
-        try:
-            columns = {k: list(map(itemgetter(k), block)) for k in (first if kinds == {dict} else range(len(first)))}
-        except KeyError:  # a row with other keys
-            return None
+        return None
     keys = sorted(columns)
     brackets = "{}" if type(keys[0]) is str else "[]"
     labels = [encode_basestring_ascii(k).replace("%", "%%") + ": " if brackets == "{}" else "" for k in keys]

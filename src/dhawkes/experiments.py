@@ -334,7 +334,8 @@ class GridCell(NamedTuple):
 
 class Table(Sequence):
     """Rows of the NamedTuple type `row` held as its columns, sequences of one length: a
-    row is built only where one is indexed or iterated, and a slice is a Table."""
+    row is built only where one is indexed or iterated, and a slice is a Table.  Like a
+    list, it equals a list or Table with equal rows and is unhashable."""
 
     def __init__(self, row: type, columns: Sequence[Sequence]) -> None:
         self.row, self.columns = row, columns
@@ -346,6 +347,9 @@ class Table(Sequence):
         if isinstance(i, slice):
             return Table(self.row, [col[i] for col in self.columns])
         return self.row._make([col[i] for col in self.columns])
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, Table)) else NotImplemented
 
 
 def disc_grid(

@@ -150,6 +150,10 @@ def test_growth_rule_warns_nothing_where_ab_overflows():
         warnings.simplefilter("error")
         assert growth_rule(Params.p3(1e200, 1e200, -1.0)) is None
         assert growth_rule(Params(p=2, coeffs=(1e308, 1e308), lam=1.0)) is Verdict.TRANSIENT_LINEAR
+        # classify raises at these points, where Disc overflows; growth_rule computes no Disc
+        assert growth_rule(Params.p3(-1e200, 1e200, 1.0)) is Verdict.TRANSIENT_OSCILLATING  # ab = -inf
+        assert growth_rule(Params.p3(-1e300, 1e300, 1e300)) is Verdict.TRANSIENT_OSCILLATING
+        assert growth_rule(Params.p3(-1e200, -1e200, 1e300)) is Verdict.TRANSIENT_AXES
 
 
 def test_no_rule_conflicts_on_random_sweep():
@@ -174,6 +178,55 @@ def test_growth_rule_agrees_with_classify():
     assert growth_rule(Params.p3(-1.0, 1.1, 0.5)) is Verdict.TRANSIENT_OSCILLATING
     assert growth_rule(Params(p=2, coeffs=(0.4, 2.0), lam=1.0)) is Verdict.TRANSIENT_LINEAR
     assert growth_rule(Params(p=2, coeffs=(-0.4, 2.0), lam=1.0)) is None
+
+
+_LINEAR, _OSCILLATING, _AXES = Verdict.TRANSIENT_LINEAR, Verdict.TRANSIENT_OSCILLATING, Verdict.TRANSIENT_AXES
+_GROWTH_EDGES = [
+    # c = 0 exactly: the oscillating rule, ahead of the memory-2 reduction
+    ((-1.0, 2.0, 0.0), _OSCILLATING),
+    ((-3.0, 1.5, 0.0), _OSCILLATING),
+    # nonnegative coefficients summing to within TOL of 1, and just past it
+    ((0.5, 0.5 + 5e-13), None),
+    ((0.5, 0.5 - 5e-13), None),
+    ((0.5, 0.5 + 2e-12), _LINEAR),
+    ((0.25, 0.25, 0.5 + 5e-13), None),
+    ((0.25, 0.25, 0.5 - 5e-13), None),
+    ((0.25, 0.25, 0.5 + 2e-12), _LINEAR),
+    ((0.0, 0.0, 1.0 + 5e-13), None),
+    ((0.0, 0.0, 1.0 + 2e-12), _LINEAR),
+    # b within TOL of 1 with a < 0, and ab + c within TOL of 0
+    ((-1.0, 1.0 + 5e-13, 0.5), None),
+    ((-1.0, 1.0 - 5e-13, 0.5), None),
+    ((-1.0, 1.0 + 2e-12, 0.5), _OSCILLATING),
+    ((-1.0, 2.0, 2.0 + 5e-13), None),
+    ((-1.0, 2.0, 2.0 - 5e-13), None),
+    ((-1.0, 2.0, 2.0 - 2e-12), _OSCILLATING),
+    ((-1.0, 2.0, 3.0), None),
+    # the axes rule's three thresholds
+    ((-1.0, -1.0, 1.0 + 5e-13), None),
+    ((-1.0, -1.0, 1.0 + 2e-12), _AXES),
+    ((-5e-13, -1.0, 2.0), None),
+    ((-2e-12, -1.0, 2.0), _AXES),
+    ((-1.0, -5e-13, 2.0), None),
+    # p = 1 and p = 5: only the linear rule applies
+    ((1.5,), _LINEAR),
+    ((1.0 + 5e-13,), None),
+    ((0.9,), None),
+    ((-2.0,), None),
+    ((0.1, 0.2, 0.3, 0.2, 0.4), _LINEAR),
+    ((0.2, 0.2, 0.2, 0.2, 0.2 + 5e-13), None),
+    ((0.2, 0.2, 0.2, 0.2, 0.2 + 2e-12), _LINEAR),
+    ((-1.0, 2.0, 0.0, 0.0, 0.0), None),
+    ((0.0, 0.0, 3.0, 0.0, -0.1), None),
+]
+
+
+@pytest.mark.parametrize("coeffs, expected", _GROWTH_EDGES, ids=[repr(c).replace(" ", "") for c, _ in _GROWTH_EDGES])
+def test_growth_rule_agrees_with_classify_at_thresholds(coeffs, expected):
+    params = Params(p=len(coeffs), coeffs=coeffs, lam=1.0)
+    assert growth_rule(params) is expected
+    verdict = classify(params).verdict
+    assert verdict is expected or expected is None and verdict not in (_LINEAR, _OSCILLATING, _AXES)
 
 
 def test_witness_report_attached_for_p3():
@@ -253,3 +306,6 @@ def test_forced_rule_conflict_raises_from_batched_classifier(monkeypatch):
     with pytest.raises(RuntimeError, match=first_conflict):
         classify(Params.p3(2.5, -1.0, -3.0))
     assert classify(Params.p3(3.0, 0.5, -15.0)).verdict is Verdict.TRANSIENT_AXES
+    # growth_rule decides on the same table, so the same check guards it
+    with pytest.raises(RuntimeError, match=r"both match Params\(p=3, coeffs=\(0.5, -1.0, -3.0\)"):
+        growth_rule(Params.p3(0.5, -1.0, -3.0))

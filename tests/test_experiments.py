@@ -432,6 +432,16 @@ def test_disc_grid_is_a_read_only_sequence_of_grid_cells():
         cells[0] = cells[1]
 
 
+def test_disc_grid_compares_as_the_list_of_its_cells():
+    g = disc_grid([1.0], (0, 0.5), (0, 0.5), 0.5)
+    assert g == disc_grid([1.0], (0, 0.5), (0, 0.5), 0.5)
+    assert g == list(g) and list(g) == g and g[:2] == g[:2] and g[:2] == list(g)[:2]
+    assert g != g[:2] and g != disc_grid([2.0], (0, 0.5), (0, 0.5), 0.5)
+    assert g != tuple(g) and g != list(g)[::-1] and g != 3
+    with pytest.raises(TypeError):
+        hash(g)
+
+
 def test_disc_grid_refuses_more_than_max_grid_points():
     with pytest.raises(ValueError, match="more than 10000000"):
         disc_grid([0.5, 1.0], (0.0, 1.0), (0.0, 1.0), 1e-3 / 3)  # 2 * 3001^2 cells
