@@ -236,7 +236,7 @@ def grid_count(start: float, stop: float, step: float) -> int:
         raise ValueError(f"grid step must be > 0, got {step}")
     if stop < start - TOL:
         raise ValueError(f"empty grid range [{start}, {stop}]")
-    count = (stop - start) / step + 1e-9  # inf where stop - start overflows
+    count = max(stop - start, 0.0) / step + 1e-9  # a range reversed by up to TOL is its start; inf on overflow
     if not count < MAX_GRID_POINTS:
         raise ValueError(
             f"grid range [{start}, {stop}] in steps of {step} has more than {MAX_GRID_POINTS} points"

@@ -5,8 +5,8 @@ variable (seed only) > --config file > built-in defaults.  A config value
 is read as its flag reads the same number, so a config file and the equal
 flags write the same files and the same echo.  Every command can echo its
 fully resolved configuration to a JSON file; re-ingesting that file
-reproduces the identical run.  A grid's cells and a sweep's JSON rows
-reach the writers as a Table, whose columns the writers encode directly.
+reproduces the identical run.  A grid's cells and a sweep's rows reach
+the writers as a Table, whose columns the writers encode directly.
 
 Exit codes: 0 success, 2 usage or parse error, 3 output I/O error,
 4 flagged numerical anomaly (no clean boundary shell up to --max-radius,
@@ -447,7 +447,7 @@ def _json_chunks(o: object, nl: str) -> Iterator[str]:
         yield nl + "]"
 
 
-def _sweep_json(spec: SweepSpec, rows: list[SweepRow]) -> dict:
+def _sweep_json(spec: SweepSpec, rows: Sequence[SweepRow]) -> dict:
     return {
         "fixed": spec.fixed,
         "sweep": spec.sweep_name,
@@ -457,7 +457,7 @@ def _sweep_json(spec: SweepSpec, rows: list[SweepRow]) -> dict:
         "horizon": spec.sim.horizon_n,
         "explosion_threshold": spec.sim.explosion_threshold_m,
         "master_seed": spec.sim.master_seed,
-        "rows": Table(SweepRow, list(zip(*rows)) or [()] * len(SweepRow._fields)),
+        "rows": rows,
     }
 
 

@@ -4,13 +4,14 @@ All drivers are deterministic given the sweep's master seed: every sweep
 point gets a derived seed (splitmix64 of the master seed and the point
 index) and every replica inside a point draws from its own stream, so
 results do not depend on worker count, chunking or execution order.
-Replica batches can be spread over a process pool; the pool returns
-them in submission order, which is replica order.  A sweep command
-(`sweep_explosion`, `tau_cdf_experiment`) opens one pool and queues the
-batches of every point on it at once; when a point raises, the batches
-still queued are cancelled.  The pool is closed before the command
-returns or raises.  `disc_grid` returns its cells as a `Table`, columns
-of Python scalars that build a GridCell only where one is read.
+Replica batches run in this process or on a process pool, in submission
+order, which is replica order, and come back as columns (kind, steps,
+peak).  A sweep command (`sweep_explosion`, `tau_cdf_experiment`) opens
+one pool and queues the batches of every point on it at once; when a
+point raises, the batches still queued are cancelled.  The pool is
+closed before the command returns or raises.  `run_excursions`,
+`sweep_explosion` and `disc_grid` return `Table`s, columns of Python
+scalars that build a row only where one is read.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import islice
 from typing import NamedTuple, TypeVar
 
 import numpy as np
@@ -139,7 +140,7 @@ def _batch_task(payload: tuple[Params, SimConfig, int, int]) -> tuple[tuple, ...
     Columns pickle without a NamedTuple per outcome, and each kind after
     its first is a reference to it.  Peaks stay Python ints: a count above
     the threshold is followed up to 1e300 and would overflow any
-    fixed-width integer array.
+    fixed-width integer array.  A serial run calls it in this process.
     """
     return tuple(zip(*_outcomes(*payload)))
 
@@ -151,11 +152,17 @@ def _batches(params: Params, cfg: SimConfig, n_replicas: int, workers: int) -> l
     return [(params, cfg, start, min(start + chunk, n_replicas)) for start in range(0, n_replicas, chunk)]
 
 
+class _InProcess(Executor):
+    """Runs each batch in this process when its result is read."""
+
+    map = staticmethod(map)  # the lazy builtin; shutdown is Executor's no-op
+
+
 @contextmanager
-def _pool(workers: int) -> Iterator[ProcessPoolExecutor]:
-    """A pool of `workers` processes; on leaving, the batches still queued are
-    cancelled and the workers have exited."""
-    pool = ProcessPoolExecutor(workers)
+def _pool(workers: int) -> Iterator[Executor]:
+    """A pool of `workers` processes, or this process alone for one; on
+    leaving, the batches still queued are cancelled and the workers have exited."""
+    pool = ProcessPoolExecutor(workers) if workers > 1 else _InProcess()
     try:
         yield pool
     finally:
@@ -163,17 +170,17 @@ def _pool(workers: int) -> Iterator[ProcessPoolExecutor]:
 
 
 class _Queued(Executor):
-    """Batches submitted to `pool` up front, in the order given.
+    """Batches handed to `pool` up front, in the order given.
 
-    `map(_batch_task, batches)` hands back the results of those batches,
-    in the order asked for, as each arrives.
+    Each `map(_batch_task, batches)` hands back the results of the next
+    len(batches) of them, in order, as each arrives.
     """
 
-    def __init__(self, pool: ProcessPoolExecutor, batches: list[tuple[Params, SimConfig, int, int]]) -> None:
-        self._futures = {batch: pool.submit(_batch_task, batch) for batch in batches}
+    def __init__(self, pool: Executor, batches: list[tuple[Params, SimConfig, int, int]]) -> None:
+        self._results = pool.map(_batch_task, batches)
 
     def map(self, fn, batches):  # type: ignore[override]
-        return (self._futures.pop(batch).result() for batch in batches)
+        return islice(self._results, len(batches))
 
 
 def run_excursions(
@@ -183,33 +190,31 @@ def run_excursions(
     jobs: int | None = None,
     *,
     pool: Executor | None = None,
-) -> list[ExcursionOutcome]:
-    """Outcomes of replicas 0..n-1, bit-identical for any worker count.
+) -> Table:
+    """Outcomes of replicas 0..n-1, a Table of ExcursionOutcome rows, bit-identical for any worker count.
 
     Each batch runs in `simulate._outcomes`: replica r is
     `run_excursion(r)` from the all-zero start and where a mean above
     NORMAL_SWITCH can occur below the threshold; from any other start it
     has run_excursion's law but not its stream.  Either way
     `run_excursions(n)[:k] == run_excursions(k)`.  jobs=None uses every
-    core.  With jobs=1, or with fewer than 256 replicas, the batch runs in
-    this process and `pool` is not used.  Otherwise batches run on `pool`
-    when one is given (it stays open), or on a pool opened for this call
-    and closed before it returns.
+    core.  The batches run on `pool` when one is given (it stays open), else
+    in this process with jobs=1 or fewer than 256 replicas, else on a pool
+    opened for this call and closed before it returns; their columns are
+    concatenated, and no outcome is built.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     workers = _workers(jobs, n_replicas)
-    if workers == 1:
-        return _outcomes(params, cfg, 0, n_replicas)
-    outcomes: list[ExcursionOutcome] = []
+    columns: list[list] = [[] for _ in ExcursionOutcome._fields]
     with nullcontext(pool) if pool is not None else _pool(workers) as executor:
-        for columns in executor.map(_batch_task, _batches(params, cfg, n_replicas, workers)):
-            # tuple.__new__ skips the NamedTuple's Python-level __new__
-            outcomes += map(tuple.__new__, repeat(ExcursionOutcome), zip(*columns))
-    return outcomes
+        for batch in executor.map(_batch_task, _batches(params, cfg, n_replicas, workers)):
+            for column, values in zip(columns, batch):
+                column += values
+    return Table(ExcursionOutcome, columns)
 
 
-def _per_point(spec: SweepSpec, reduce: Callable[[float, list[ExcursionOutcome]], _T]) -> list[_T]:
+def _per_point(spec: SweepSpec, reduce: Callable[[float, Table], _T]) -> list[_T]:
     """reduce(value, outcomes) for each swept value, all points run on one pool.
 
     Every point's batches are queued on the pool before the first point is
@@ -223,29 +228,22 @@ def _per_point(spec: SweepSpec, reduce: Callable[[float, list[ExcursionOutcome]]
         (value, spec.params_at(value), replace(spec.sim, master_seed=derive_point_seed(seed, idx)))
         for idx, value in enumerate(spec.values)
     ]
-    with nullcontext() if workers == 1 else _pool(workers) as pool:
-        queued = None if pool is None else _Queued(
-            pool, [batch for _, params, cfg in points for batch in _batches(params, cfg, spec.replicas, workers)]
-        )
+    with _pool(workers) as pool:
+        queued = _Queued(pool, [b for _, params, cfg in points for b in _batches(params, cfg, spec.replicas, workers)])
         return [
             reduce(value, run_excursions(params, cfg, spec.replicas, spec.jobs, pool=queued))
             for value, params, cfg in points
         ]
 
 
-def sweep_explosion(spec: SweepSpec) -> list[SweepRow]:
-    """Explosion proportion with exact confidence interval per swept value."""
+def sweep_explosion(spec: SweepSpec) -> Table:
+    """Explosion proportion with exact confidence interval per swept value, as a Table of SweepRow rows."""
 
-    def row(value: float, outcomes: list[ExcursionOutcome]) -> SweepRow:
-        exploded = censored = returned = total = 0
-        for kind, steps, _ in outcomes:
-            if kind is ExcursionKind.RETURNED:
-                returned += 1
-                total += steps
-            elif kind is ExcursionKind.EXPLODED:
-                exploded += 1
-            else:
-                censored += 1
+    def row(value: float, outcomes: Table) -> SweepRow:
+        kinds, steps, _ = outcomes.columns
+        exploded, censored = kinds.count(ExcursionKind.EXPLODED), kinds.count(ExcursionKind.CENSORED)
+        returned = len(kinds) - exploded - censored
+        total = sum(s for kind, s in zip(kinds, steps) if kind is ExcursionKind.RETURNED)
         n = spec.replicas
         interval = clopper_pearson(exploded, n, spec.alpha)
         return SweepRow(
@@ -254,7 +252,7 @@ def sweep_explosion(spec: SweepSpec) -> list[SweepRow]:
             mean_tau_returned=total / returned if returned else None, censored=censored,
         )
 
-    return _per_point(spec, row)
+    return Table(SweepRow, list(zip(*_per_point(spec, row))))
 
 
 def tau_cdf_experiment(spec: SweepSpec) -> dict[float, list[tuple[int, float]]]:
@@ -263,8 +261,7 @@ def tau_cdf_experiment(spec: SweepSpec) -> dict[float, list[tuple[int, float]]]:
     Exploded excursions carry the sentinel horizon+1 and appear as a
     final atom; censored ones sit at the horizon itself.
     """
-    curves = _per_point(spec, lambda value, outcomes: (value, ecdf([steps for _, steps, _ in outcomes])))
-    return dict(curves)
+    return dict(_per_point(spec, lambda value, outcomes: (value, ecdf(outcomes.columns[1]))))
 
 
 @dataclass(frozen=True)

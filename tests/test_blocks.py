@@ -177,7 +177,7 @@ def test_zero_start_batches_are_per_replica_excursions(start, jobs):
 
 def _both(params, cfg, n):
     """n outcomes from the kernel and n from per-replica run_excursion, at one seed."""
-    return run_excursions(params, cfg, n, jobs=1), [run_excursion(params, cfg, r) for r in range(n)]
+    return list(run_excursions(params, cfg, n, jobs=1)), [run_excursion(params, cfg, r) for r in range(n)]
 
 
 def test_law_of_the_peak_from_the_stationary_mean():

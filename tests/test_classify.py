@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dhawkes.classify import Verdict, classify, classify_p3, grid_values, growth_rule
+from dhawkes.classify import TOL, Verdict, classify, classify_p3, grid_count, grid_values, growth_rule
 from dhawkes.cubic import b_star, c_bounds, discriminant
 from dhawkes.model import Params
 
@@ -253,6 +253,14 @@ def test_grid_values_errors():
         with pytest.raises(ValueError, match="more than 10000000 points"):
             grid_values(start, stop, step)
     assert len(grid_values(0.0, 1.0, 1e-6)) == 1_000_001
+
+
+@pytest.mark.parametrize("step", [1.0, 1e-6, 1e-12])
+@pytest.mark.parametrize("stop", [-1e-13, -0.5 * TOL, -TOL])
+def test_range_reversed_within_tol_is_its_start_at_every_step(stop, step):
+    # the range check accepts stop >= start - TOL, so every step gives the one point start
+    assert grid_count(0.0, stop, step) == 1
+    assert grid_values(0.0, stop, step) == [0.0]
 
 
 # one point per verdict with its exact rule text

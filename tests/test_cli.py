@@ -854,6 +854,24 @@ def test_grid_command(tmp_path, capsys):
     assert len(data["cells"]) == 9
 
 
+def test_grid_range_reversed_within_tol_writes_its_start(tmp_path, capsys):
+    code, out, _ = run(
+        ["grid", "--a-values", "0.5", "--b-range=0:-1e-13", "--c-range=0:0",
+         "--step", "1e-6", "--out", str(tmp_path / "g")],
+        capsys,
+    )
+    assert (code, out) == (0, f"grid: 1 cells -> {tmp_path / 'g'}.csv\n")
+    lines = (tmp_path / "g.csv").read_text().splitlines()
+    assert [line.split(",")[:3] for line in lines[1:]] == [["0.5", "0", "0"]]
+
+
+def test_sweep_range_reversed_within_tol_runs_its_start(capsys):
+    code, out, err = run(["sweep", "--fix", "a=3,c=-15", "--sweep", "b=0:-1e-13:1e-6",
+                          "--replicas", "20", "--jobs", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("b=0 exploded=") and out.count("\n") == 1
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Quick start \(CLI\)\n\n```\n(.*?)```", readme, re.S)

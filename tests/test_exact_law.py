@@ -1,12 +1,15 @@
-"""The excursion-length law at p = 1 and p = 2 against its exact value.
+"""The excursion-length law at p = 1, 2 and 3 against its exact value.
 
 The state is the window (x_1, ..., x_p), x_1 the most recent count, and
 the next count is Poisson with mean (a_1 x_1 + ... + a_p x_p + lam)_+.
 Moving the sub-probability mass of the excursions that have not returned
 forward one step at a time on {0, ..., K}^p gives P(tau <= n) exactly,
-up to the mass that leaves that range, which is measured.  One-sample KS
-tests then check `run_excursions` from the zero start (the per-replica
-loop) and from a nonzero start (the lockstep kernel) at level 1e-3.
+up to the mass that leaves that range, which is measured.  With
+nonnegative coefficients no mean is clipped, and the cluster
+representation gives the law at p = 3 with no range at all.  One-sample
+KS tests then check `run_excursions` from the zero start (the
+per-replica loop) and from a nonzero start (the lockstep kernel) at
+level 1e-3.
 """
 
 import numpy as np
@@ -47,14 +50,56 @@ def _exact_cdf(coeffs, lam, start, steps, k):
     return cdf, lost
 
 
-def _check_law(coeffs, lam, start, k, max_lost):
+def _cluster_law(coeffs, lam, start, steps):
+    """P(tau = n) for n = 1..steps, for nonnegative coefficients.
+
+    Each count at time m has Poisson(a_i) children at time m + i, and
+    Poisson(lam) immigrants arrive at each step.  g_t, the probability
+    that a cluster rooted at time 0 has no point in (t - p, t], is 1 for
+    t < 0, 0 for 0 <= t < p, and prod_i exp(-a_i (1 - g_{t-i})) after.
+    From the zero window, u_n = P(window at n is zero) =
+    exp(-lam sum_{j<n} (1 - g_j)).  From a start x, the count x_i (at
+    time 1 - i) adds Poisson(x_i a_l) children at each time
+    s = 1 - i + l >= 1, each of whose clusters misses the window at n
+    with probability g_{n-s}, and u^x_n = 0 while x_i is in the window.
+    Renewal at the zero window gives u^x_n = sum_{k<=n} f_k u_{n-k}.
+    """
     p = len(coeffs)
+    g = np.ones(steps + 2 * p)  # g[t + p] = g_t for t >= -p
+    g[p : 2 * p] = 0.0
+    for t in range(p, steps + p):
+        g[t + p] = np.exp(-sum(a * (1.0 - g[t - i + p]) for i, a in enumerate(coeffs, start=1)))
+    n = np.arange(steps + 1)
+    log_u = -lam * np.concatenate(([0.0], np.cumsum(1.0 - g[p : steps + p])))
+    log_ux = log_u.copy()
+    for i, x in enumerate(start, start=1):
+        for l, a in enumerate(coeffs, start=1):
+            if 1 - i + l >= 1:
+                log_ux -= x * a * (1.0 - g[n - (1 - i + l) + p])
+    u, ux = np.exp(log_u), np.exp(log_ux)
+    in_window = [p - i for i, x in enumerate(start, start=1) if x]
+    ux[: max(in_window, default=0) + 1] = 0.0  # also n = 0, where the return is not counted
+    f = np.zeros(steps + 1)
+    for m in range(1, steps + 1):
+        f[m] = ux[m] - f[1:m] @ u[m - 1 : 0 : -1]
+    return f[1:]
+
+
+def _simulated_tau(coeffs, lam, start):
     cfg = SimConfig(master_seed=1, initial_state=start if any(start) else None)
-    outcomes = run_excursions(Params(p=p, coeffs=coeffs, lam=lam), cfg, REPLICAS, jobs=1)
-    assert all(o.kind is ExcursionKind.RETURNED for o in outcomes)
-    tau = np.array([o.steps for o in outcomes])
+    kinds, steps, _ = run_excursions(Params(p=len(coeffs), coeffs=coeffs, lam=lam), cfg, REPLICAS, jobs=1).columns
+    assert set(kinds) == {ExcursionKind.RETURNED}
+    return np.array(steps)
+
+
+def _check_law(coeffs, lam, start, k, max_lost):
+    tau = _simulated_tau(coeffs, lam, start)
     cdf, lost = _exact_cdf(coeffs, lam, start, int(tau.max()), k)
     assert lost < max_lost
+    _check_ks(tau, cdf)
+
+
+def _check_ks(tau, cdf):
     ecdf = np.searchsorted(np.sort(tau), np.arange(1, len(cdf) + 1), side="right") / REPLICAS
     # both CDFs step only at integers, so the sup distance is taken at one
     distance = np.abs(ecdf - cdf).max()
@@ -89,3 +134,21 @@ def test_exact_law_p2_mean_return_time():
     cdf, lost = _exact_cdf((0.5, -0.3), 1.0, (0, 0), 192, 60)
     assert lost < 1e-15
     assert 1.0 + (1.0 - cdf).sum() == pytest.approx(6.17471, abs=1e-5)
+
+
+@pytest.mark.parametrize("start", [(0, 0, 0), (3, 2, 1)], ids=["zero-start", "kernel-start3,2,1"])
+def test_excursion_length_matches_cluster_law_p3(start):
+    coeffs = (0.3, 0.2, 0.1)
+    tau = _simulated_tau(coeffs, 1.0, start)
+    f = _cluster_law(coeffs, 1.0, start, int(tau.max()))
+    # f_2 = f_3 = 0 exactly from the zero window; the deconvolution leaves them within rounding
+    assert f.min() >= -1e-15 and f.sum() <= 1.0
+    _check_ks(tau, np.cumsum(f))
+
+
+def test_cluster_law_agrees_with_the_propagation_at_p2():
+    # two exact laws: the cluster recursion, and _exact_cdf's propagation on {0, ..., K}^2
+    for start in [(0, 0), (4, 0), (2, 3)]:
+        cdf, lost = _exact_cdf((0.5, 0.2), 1.0, start, 80, 60)
+        assert lost < 1e-12
+        assert np.cumsum(_cluster_law((0.5, 0.2), 1.0, start, 80)) == pytest.approx(cdf, abs=1e-12)

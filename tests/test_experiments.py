@@ -11,7 +11,9 @@ import pytest
 from dhawkes import experiments, simulate
 from dhawkes.experiments import (
     GridCell,
+    SweepRow,
     SweepSpec,
+    Table,
     derive_point_seed,
     disc_grid,
     exploding_gallery,
@@ -22,7 +24,7 @@ from dhawkes.experiments import (
 from dhawkes.classify import classify
 from dhawkes.cubic import cubic_report, discriminant
 from dhawkes.model import Params
-from dhawkes.simulate import ExcursionKind, SimConfig
+from dhawkes.simulate import ExcursionKind, ExcursionOutcome, SimConfig
 from dhawkes.stats import clopper_pearson
 
 
@@ -185,6 +187,24 @@ def test_zero_start_batches_run_one_excursion_per_replica(monkeypatch):
     calls.clear()
     run_excursions(params, cfg, 300, jobs=1)
     assert calls == [(params, cfg, r) for r in range(300)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("start", [None, (3, 0, 0)], ids=["zero", "kernel"])
+def test_run_excursions_is_a_table_of_its_batches_columns(start, jobs):
+    # 600 replicas at jobs=2 are three batches; at jobs=1 they run in this process
+    params, cfg = Params.p3(3.0, 0.0, -15.0), SimConfig(horizon_n=500, master_seed=3, initial_state=start)
+    table = run_excursions(params, cfg, 600, jobs=jobs)
+    assert type(table) is Table and table.row is ExcursionOutcome
+    assert table.columns == [list(column) for column in zip(*simulate._outcomes(params, cfg, 0, 600))]
+    assert table[:250] == run_excursions(params, cfg, 250, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_rows_are_a_table(jobs):
+    rows = sweep_explosion(spec_at([0.0, 4.0], replicas=600, jobs=jobs))
+    assert type(rows) is Table and rows.row is SweepRow and len(rows) == 2
+    assert [r.swept_value for r in rows] == [0.0, 4.0]
 
 
 def _traced(monkeypatch) -> list[tuple[str, str | None]]:

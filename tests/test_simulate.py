@@ -9,6 +9,7 @@ from scipy.stats import chi2, poisson
 
 from dhawkes import simulate
 from dhawkes.classify import Verdict, classify
+from dhawkes.experiments import run_excursions
 from dhawkes.model import Params, check_state, intensity
 from dhawkes.simulate import (
     NORMAL_SWITCH,
@@ -612,3 +613,27 @@ def test_excursion_loops_keep_python_int_counts(params):
     assert type(replica_rng(0, 0).poisson(2.5)) is int
     outcomes = [run_excursion(params, SimConfig(master_seed=5), r) for r in range(50)]
     assert all(type(o.peak) is int for o in outcomes) and any(o.peak > 0 for o in outcomes)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5])
+def test_critical_axes_face_is_the_critical_p1_chain_replica_by_replica(lam):
+    """At (-1, -1, 1) the p = 3 chain is the p = 1 chain at a = 1, three steps to one.
+
+    From (Y, 0, 0) with Y >= 1 >= lam the mean lam - Y is <= 0, and so is
+    the mean lam - Y of (0, Y, 0); a step whose mean is <= 0 gives 0 and
+    draws nothing.  From (0, 0, X) the next count is Poisson(X + lam),
+    which lands at (Y, 0, 0).  So from the zero window the p = 3 chain
+    draws, every third step, exactly what X' ~ Poisson(X + lam) draws at
+    each step, a critical Galton-Watson chain with Poisson(lam)
+    immigration.  Both per-replica excursions read replica r's stream in
+    the same order: where the p = 1 excursion returns at tau, the p = 3
+    one returns at 3 tau - 2 (its window is (0, 0, 0) right after the
+    zero draw) with the same peak, and a p = 1 horizon H is a p = 3
+    horizon 3H - 2.
+    """
+    horizon, n = 200, 3000
+    p1 = run_excursions(Params(p=1, coeffs=(1.0,), lam=lam), SimConfig(horizon_n=horizon, master_seed=7), n, jobs=1)
+    p3 = run_excursions(Params.p3(-1.0, -1.0, 1.0, lam), SimConfig(horizon_n=3 * horizon - 2, master_seed=7), n, jobs=1)
+    kinds, steps, peaks = p1.columns
+    assert set(kinds) == {ExcursionKind.RETURNED, ExcursionKind.CENSORED}
+    assert p3.columns == [kinds, [3 * t - 2 for t in steps], peaks]
